@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -24,6 +23,7 @@ from .gtable import (
 )
 from .repkit import (
     GModule,
+    IrrepId,
     S3_ELEMENTS,
     builtin_labeling,
     decompose_s3,
@@ -35,13 +35,11 @@ F = Fraction
 SPEC_SCHEMA_HELP = """\
 algebra spec file (JSON):
 {
-  "group": "SL2" | "S3" | "GLk",
-  "k": <int, GLk only>,
+  "group": "SL2" | "S3",
   "dim": <int>,
   "basis_names": [<str>, ...],                # optional
   "action": {"E": [[...]], "H": [[...]], "F": [[...]]}   # SL2
             or {"()": ..., "(12)": ..., ...}             # S3 (all six)
-            or {"E_11": ..., ...}                        # GLk (all E_pq)
   "product": [{"i": r, "j": c, "k": t, "c": "num/den"}, ...],
   "comultiplication": [{"i":..., "j":..., "k":..., "c":...}, ...],  # optional
   "summands": [{"id": s, "weight": n, "hwv": ["num/den", ...]}, ...]   # SL2
@@ -175,77 +173,135 @@ def _cmd_poly(args):
     return 0
 
 
-def _parse_matrix(rows, dim):
-    if len(rows) != dim or any(len(r) != dim for r in rows):
-        raise ValueError("action matrix is not %dx%d" % (dim, dim))
+# operators a spec's "action" must name, per group
+_SPEC_OPERATORS = {
+    "SL2": ({"E", "H", "F"}, "SL2 spec needs exactly the operators E, H, F"),
+    "S3": (set(S3_ELEMENTS), "S3 spec needs all six group elements"),
+}
+
+
+def _expect(value, kind, field):
+    """value, if it is a JSON value of the given kind; else a ValueError naming field."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError("%s: expected %s, got %s"
+                         % (field, kind.__name__, type(value).__name__))
+    return value
+
+
+def _get(obj, key, kind, field):
+    if key not in obj:
+        raise ValueError("%s: missing" % field)
+    return _expect(obj[key], kind, field)
+
+
+def _scalar(x, field):
+    try:
+        return scalar_from_str(str(x))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("%s: %r is not an exact rational" % (field, x)) from None
+
+
+def _vector(v, dim, field):
+    if len(_expect(v, list, field)) != dim:
+        raise ValueError("%s: expected %d entries, got %d" % (field, dim, len(v)))
+    return [_scalar(x, "%s[%d]" % (field, i)) for i, x in enumerate(v)]
+
+
+def _parse_matrix(rows, dim, field):
+    if len(_expect(rows, list, field)) != dim:
+        raise ValueError("%s: action matrix is not %dx%d" % (field, dim, dim))
     return Matrix.from_rows(
-        [[scalar_from_str(str(x)) for x in r] for r in rows])
+        [_vector(r, dim, "%s[%d]" % (field, i)) for i, r in enumerate(rows)], dim)
+
+
+def _structure_constants(obj, key, dim):
+    """(i, j, k, c) per entry of the list obj[key], indices checked against dim."""
+    out = []
+    for n, e in enumerate(_get(obj, key, list, key)):
+        field = "%s[%d]" % (key, n)
+        _expect(e, dict, field)
+        i, j, k = (_get(e, x, int, "%s.%s" % (field, x)) for x in "ijk")
+        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+            raise ValueError("%s: structure constant index out of range" % field)
+        out.append((i, j, k, _scalar(e.get("c"), field + ".c")))
+    return out
+
+
+def _summands(obj, group, dim, registry):
+    """Explicit generators in the form decompose_sl2 (hwvs) or decompose_s3
+    (generators) takes: (id, weight, hwv) or (id, label, [vectors])."""
+    out = []
+    for n, s in enumerate(_get(obj, "summands", list, "summands")):
+        field = "summands[%d]" % n
+        _expect(s, dict, field)
+        sid = _get(s, "id", str, field + ".id")
+        if group == "SL2":
+            key = "weight"
+            label = _get(s, key, int, field + ".weight")
+            gens = _vector(s.get("hwv"), dim, field + ".hwv")
+        else:
+            key = "label"
+            label = _get(s, key, str, field + ".label")
+            gens = [_vector(v, dim, "%s.vectors[%d]" % (field, t))
+                    for t, v in enumerate(_get(s, "vectors", list,
+                                               field + ".vectors"))]
+        if IrrepId(group, label) not in registry.models:
+            raise ValueError("%s.%s: %r is outside the %s labeling"
+                             % (field, key, label, group))
+        out.append((sid, label, gens))
+    return out
 
 
 def load_spec(path):
+    """Read and check a spec file.
+
+    Returns (registry, module, triples, delta, summands); delta and summands
+    are None when the file has no comultiplication or explicit summands.
+    Malformed content raises ValueError naming the offending field.
+    """
     with open(path) as fh:
-        obj = json.load(fh)
-    group = obj["group"]
-    dim = obj["dim"]
-    action = {op: _parse_matrix(rows, dim) for op, rows in obj["action"].items()}
-    if group == "SL2":
-        if set(action) != {"E", "H", "F"}:
-            raise ValueError("SL2 spec needs exactly the operators E, H, F")
-    elif group == "S3":
-        if set(action) != set(S3_ELEMENTS):
-            raise ValueError("S3 spec needs all six group elements")
-    elif group == "GLk":
-        k = obj.get("k")
-        if not k or set(action) != {"E_%d%d" % (p, q)
-                                    for p in range(1, k + 1)
-                                    for q in range(1, k + 1)}:
-            raise ValueError("GLk spec needs k and all E_pq operators")
-    else:
+        obj = _expect(json.load(fh), dict, "spec")
+    group = _get(obj, "group", str, "group")
+    if group not in _SPEC_OPERATORS:
         raise ValueError("unknown group %r" % group)
-    module = GModule(group if group != "GLk" else "GLk", dim, action,
-                     basis_names=obj.get("basis_names"))
-    triples = [(e["i"], e["j"], e["k"], scalar_from_str(str(e["c"])))
-               for e in obj["product"]]
-    for (i, j, k2, _) in triples:
-        if not (0 <= i < dim and 0 <= j < dim and 0 <= k2 < dim):
-            raise ValueError("structure constant index out of range")
+    registry = builtin_labeling(group)
+    dim = _get(obj, "dim", int, "dim")
+    if dim < 1:
+        raise ValueError("dim: expected a positive integer, got %d" % dim)
+    ops, missing = _SPEC_OPERATORS[group]
+    action = _get(obj, "action", dict, "action")
+    if set(action) != ops:
+        raise ValueError(missing)
+    action = {op: _parse_matrix(rows, dim, "action.%s" % op)
+              for op, rows in action.items()}
+    names = obj.get("basis_names")
+    if names is not None and (len(_expect(names, list, "basis_names")) != dim
+                              or not all(isinstance(x, str) for x in names)):
+        raise ValueError("basis_names: expected %d strings" % dim)
+    module = GModule(group, dim, action, basis_names=names)
+    triples = _structure_constants(obj, "product", dim)
     delta = None
     if "comultiplication" in obj:
         delta = {}
-        for e in obj["comultiplication"]:
-            delta.setdefault(e["i"], []).append(
-                (e["j"], e["k"], scalar_from_str(str(e["c"]))))
-    return obj, module, triples, delta
+        for i, j, k, c in _structure_constants(obj, "comultiplication", dim):
+            delta.setdefault(i, []).append((j, k, c))
+    summands = None
+    if "summands" in obj:
+        summands = _summands(obj, group, dim, registry)
+    return registry, module, triples, delta, summands
 
 
 def _cmd_extract(args):
     try:
-        obj, module, triples, delta = load_spec(args.spec)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as e:
+        registry, module, triples, delta, summands = load_spec(args.spec)
+    except (OSError, ValueError) as e:
         sys.stderr.write("bad spec file: %s\n" % e)
         sys.stderr.write(SPEC_SCHEMA_HELP)
         return 2
-    group = obj["group"]
-    if group == "SL2":
-        registry = builtin_labeling("SL2")
-        hwvs = None
-        if "summands" in obj:
-            hwvs = [(s["id"], s["weight"],
-                     [scalar_from_str(str(x)) for x in s["hwv"]])
-                    for s in obj["summands"]]
-        dec = decompose_sl2(module, registry, hwvs=hwvs)
-    elif group == "S3":
-        registry = builtin_labeling("S3")
-        gens = None
-        if "summands" in obj:
-            gens = [(s["id"], s["label"],
-                     [[scalar_from_str(str(x)) for x in v]
-                      for v in s["vectors"]])
-                    for s in obj["summands"]]
-        dec = decompose_s3(module, registry, generators=gens)
+    if registry.group == "SL2":
+        dec = decompose_sl2(module, registry, hwvs=summands)
     else:
-        sys.stderr.write("extract supports SL2 and S3 spec files\n")
-        return 2
+        dec = decompose_s3(module, registry, generators=summands)
     if args.cotable:
         if delta is None:
             sys.stderr.write("--cotable needs a comultiplication field\n")
@@ -261,11 +317,7 @@ def _cmd_extract(args):
 def _cmd_verify(args):
     from .verify import run_suites
     try:
-        workers = int(os.environ.get("GTABLE_THREADS", "1"))
-    except ValueError:
-        workers = 1
-    try:
-        ok, lines = run_suites(module=args.module, max_workers=workers)
+        ok, lines = run_suites(module=args.module)
     except KeyError as e:
         sys.stderr.write("unknown module %s\n" % e)
         return 2

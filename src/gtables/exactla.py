@@ -2,10 +2,9 @@
 
 All scalars are ``fractions.Fraction`` (arbitrary precision, always in lowest
 terms, positive denominator).  Elimination is fraction-free (Bareiss) on
-integer-scaled rows, with a final normalization pass; pivoting always picks the
-first nonzero entry in column order, so every result is deterministic and
-canonical.  Matrices switch to a sparse representation above 64x64; both code
-paths produce identical results.
+integer-scaled sparse rows, with a final normalization pass; pivoting always
+picks the first nonzero entry in column order, so every result is
+deterministic and canonical.  Matrices are stored as tuples of row tuples.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ from fractions import Fraction
 from math import gcd
 
 Q = Fraction
-
-SPARSE_CUTOFF = 64  # side length above which sparse storage is used
 
 
 class AmbiguousCoordinates(Exception):
@@ -36,64 +33,13 @@ def scalar_from_str(s: str) -> Fraction:
     return Fraction(int(s))
 
 
-def _scale_to_int(row):
-    # common denominator per row; scaling a row never changes row space,
-    # kernels or solution sets of the system the row belongs to
-    den = 1
-    for x in row:
-        if x:
-            den = den * x.denominator // gcd(den, x.denominator)
-    return [int(x * den) for x in row]
-
-
-def _rref_dense(rows, ncols):
-    """Reduced row echelon form of a list of Fraction rows.
-
-    Returns (pivot columns, reduced rows as Fraction lists).  Forward pass is
-    integer Bareiss; normalization happens once at the end.
-    """
-    m = [_scale_to_int(r) for r in rows]
-    nrows = len(m)
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, nrows):
-            mic = m[i][c]
-            if mic == 0 and piv == prev:
-                continue
-            mr = m[r]
-            mi = m[i]
-            for j in range(c, ncols):
-                mi[j] = (mi[j] * piv - mic * mr[j]) // prev
-        prev = piv
-        pivots.append(c)
-        r += 1
-    # back substitution over Q, leading entries normalized to 1
-    red = [[Fraction(x) for x in m[i]] for i in range(len(pivots))]
-    for i in range(len(pivots) - 1, -1, -1):
-        c = pivots[i]
-        piv = red[i][c]
-        red[i] = [x / piv for x in red[i]]
-        for k in range(i):
-            f = red[k][c]
-            if f:
-                red[k] = [a - f * b for a, b in zip(red[k], red[i])]
-    return pivots, red
-
-
 def _rref_sparse(rows, ncols):
-    """Same contract as _rref_dense, rows given and returned as {col: Fraction}."""
+    """Reduced row echelon form of rows given and returned as {col: Fraction}.
+
+    Returns (pivot columns, reduced rows).  Forward pass is integer Bareiss on
+    rows scaled by their common denominator; normalization happens once at the
+    end.
+    """
     m = []
     for row in rows:
         den = 1
@@ -151,33 +97,26 @@ def _rref_sparse(rows, ncols):
     return pivots, red
 
 
-def rref(rows, ncols, force=None):
+def rref(rows, ncols):
     """Reduced echelon form; rows is an iterable of Fraction sequences.
 
-    ``force`` picks a code path ("dense"/"sparse") and exists for the
-    agreement tests; by default the size heuristic decides.
+    Returns (pivot columns, reduced rows as Fraction lists).
     """
-    rows = [list(map(Fraction, r)) for r in rows]
-    use_sparse = force == "sparse" or (
-        force is None and len(rows) > SPARSE_CUTOFF and ncols > SPARSE_CUTOFF)
-    if use_sparse:
-        srows = [{j: x for j, x in enumerate(r) if x} for r in rows]
-        pivots, red = _rref_sparse(srows, ncols)
-        dense = [[row.get(j, Fraction(0)) for j in range(ncols)] for row in red]
-        return pivots, dense
-    return _rref_dense(rows, ncols)
+    srows = [{j: Fraction(x) for j, x in enumerate(r) if x} for r in rows]
+    pivots, red = _rref_sparse(srows, ncols)
+    zero = Fraction(0)
+    return pivots, [[row.get(j, zero) for j in range(ncols)] for row in red]
 
 
 class Matrix:
-    """Immutable exact matrix.  Storage is dense or sparse by size heuristic."""
+    """Immutable exact matrix."""
 
-    __slots__ = ("nrows", "ncols", "_rows", "_data")
+    __slots__ = ("nrows", "ncols", "_rows")
 
-    def __init__(self, nrows, ncols, rows=None, data=None):
+    def __init__(self, nrows, ncols, rows):
         self.nrows = nrows
         self.ncols = ncols
-        self._rows = rows  # tuple of row tuples, or None
-        self._data = data  # {(i, j): Fraction}, or None
+        self._rows = rows  # tuple of row tuples
 
     @staticmethod
     def from_rows(rows, ncols=None):
@@ -190,15 +129,7 @@ class Matrix:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-        nrows = len(rows)
-        if nrows > SPARSE_CUTOFF and ncols > SPARSE_CUTOFF:
-            data = {}
-            for i, r in enumerate(rows):
-                for j, x in enumerate(r):
-                    if x:
-                        data[(i, j)] = x
-            return Matrix(nrows, ncols, data=data)
-        return Matrix(nrows, ncols, rows=tuple(rows))
+        return Matrix(len(rows), ncols, tuple(rows))
 
     @staticmethod
     def from_cols(cols, nrows=None):
@@ -218,23 +149,15 @@ class Matrix:
             [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)], n)
 
     @property
-    def is_sparse(self):
-        return self._data is not None
-
-    @property
     def shape(self):
         return (self.nrows, self.ncols)
 
     def __getitem__(self, ij):
         i, j = ij
-        if self._rows is not None:
-            return self._rows[i][j]
-        return self._data.get((i, j), Fraction(0))
+        return self._rows[i][j]
 
     def row(self, i):
-        if self._rows is not None:
-            return self._rows[i]
-        return tuple(self._data.get((i, j), Fraction(0)) for j in range(self.ncols))
+        return self._rows[i]
 
     def col(self, j):
         return tuple(self[i, j] for i in range(self.nrows))
@@ -251,12 +174,6 @@ class Matrix:
         v = list(v)
         if len(v) != self.ncols:
             raise ValueError("shape mismatch")
-        if self._data is not None:
-            out = [Fraction(0)] * self.nrows
-            for (i, j), x in self._data.items():
-                if v[j]:
-                    out[i] += x * v[j]
-            return tuple(out)
         nz = [(j, y) for j, y in enumerate(v) if y]
         if 2 * len(nz) < self.ncols:
             out = [Fraction(0)] * self.nrows
@@ -418,13 +335,16 @@ def coords_modulo(z, reps, W: Subspace):
     for r in reps:
         if len(r) != n:
             raise ValueError("ambient dimension mismatch")
+    if len(z) != n:
+        raise ValueError("ambient dimension mismatch")
     if not cols:
         return () if all(x == 0 for x in z) else None
-    A = Matrix.from_cols(cols, nrows=n)
-    if kernel(A).dim > 0:
+    # one elimination of [reps | W | z]: pivots among the first k columns do
+    # not depend on z, so they certify independence before z is looked at
+    k = len(cols)
+    pivots, red = rref([[c[i] for c in cols] + [z[i]] for i in range(n)], k + 1)
+    if pivots[:k] != list(range(k)):
         raise AmbiguousCoordinates("representatives dependent modulo subspace")
-    sol = solve(A, z)
-    if sol is None:
+    if len(pivots) > k:
         return None
-    x, _ = sol
-    return tuple(x[: len(reps)])
+    return tuple(red[i][k] for i in range(len(reps)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..exactla import Matrix
+from ..exactla import Matrix, coords_modulo
 from ..gtable import GTable, extract, product_from_structure
 from ..repkit import Decomposition, GModule, builtin_labeling, sl2_summand
 from ..supercochain import (
@@ -115,58 +115,6 @@ BRACKET_TABLE = {
 }
 
 
-def export_spec_obj(rep: "HeisenbergReport"):
-    """Algebra spec-file content for the 18-dimensional bracket algebra.
-
-    Feeding this back through the generic extraction path must reproduce the
-    built-in bracket table byte for byte.
-    """
-    from ..exactla import scalar_to_str
-    n = rep.module.dim
-    action = {}
-    for op in ("E", "H", "F"):
-        A = rep.module.action[op]
-        action[op] = [[scalar_to_str(A[i, j]) for j in range(n)]
-                      for i in range(n)]
-    offsets = {}
-    pos = 0
-    summands = []
-    for sid, (p, q), w, _ in HW_REPRESENTATIVES:
-        hwv = ["0"] * n
-        hwv[pos] = "1"
-        summands.append({"id": sid, "weight": w, "hwv": hwv})
-        offsets[sid] = pos
-        pos += w + 1
-    return {
-        "group": "SL2",
-        "dim": n,
-        "basis_names": ["%s.%d" % (sid, j) for (sid, j, _, _) in rep.basis_classes],
-        "action": action,
-        "product": [{"i": i, "j": j, "k": k, "c": scalar_to_str(c)}
-                    for (i, j, k, c) in rep.bracket_structure],
-        "summands": summands,
-    }
-
-
-class _Projector:
-    """Exact class coordinates for one bidegree: first r entries of
-    (A^T A)^-1 A^T z, where the columns of A are representatives then
-    boundary generators."""
-
-    def __init__(self, basis, reps, boundary):
-        self.basis = basis
-        self.nreps = len(reps)
-        cols = [list(to_coords(z, basis)) for z in reps]
-        cols += [list(b) for b in boundary.basis]
-        A = Matrix.from_cols(cols, nrows=len(basis))
-        At = A.transpose()
-        self.P = (At @ A).inverse() @ At
-
-    def coords(self, elt):
-        z = to_coords(elt, self.basis)
-        return self.P.matvec(z)[: self.nreps]
-
-
 @dataclass
 class HeisenbergReport:
     dims: dict
@@ -202,7 +150,7 @@ def heisenberg_pipeline(check_fixtures=True) -> HeisenbergReport:
         by_bidegree.setdefault((p, q), []).append((sid, w, rep))
 
     orbits = {}
-    projectors = {}
+    classes = {}  # bidegree -> (monomial basis, representative coords, boundary)
     for (p, q) in EVEN_BIDEGREES:
         reps = []
         for sid, w, rep in by_bidegree[(p, q)]:
@@ -210,10 +158,10 @@ def heisenberg_pipeline(check_fixtures=True) -> HeisenbergReport:
             reps.extend(orbits[sid])
         injected, boundary = cohomology(ctx, p, q, reps=reps)
         dims[(p, q)] = len(injected)
-        projectors[(p, q)] = _Projector(monomial_basis(3, p, q), injected, boundary)
+        basis = monomial_basis(3, p, q)
+        classes[(p, q)] = (basis, [to_coords(z, basis) for z in injected], boundary)
         for sid, w, rep in by_bidegree[(p, q)]:
             verification.append((sid, "cocycle", differential(rep, ctx).is_zero()))
-            basis = monomial_basis(3, p, q)
             verification.append(
                 (sid, "non-exact",
                  not cohomology(ctx, p, q)[1].contains(to_coords(rep, basis))))
@@ -234,10 +182,15 @@ def heisenberg_pipeline(check_fixtures=True) -> HeisenbergReport:
     def project(elt):
         out = [F(0)] * n18
         for (pq, part) in elt.parts().items():
-            if pq not in projectors:
+            if pq not in classes:
                 raise FixtureMismatch(
                     "Heisenberg", ("?", "?", "component in odd bidegree %s" % (pq,), ""))
-            coords = projectors[pq].coords(part)
+            basis, reps, boundary = classes[pq]
+            coords = coords_modulo(to_coords(part, basis), reps, boundary)
+            if coords is None:
+                raise FixtureMismatch(
+                    "Heisenberg", ("?", "?", "component in bidegree %s outside "
+                                   "the representatives plus boundaries" % (pq,), ""))
             k = 0
             for idx, (sid, j, pq2, _) in enumerate(basis_classes):
                 if pq2 == pq:

@@ -97,9 +97,6 @@ class IntertwinerRegistry:
     def basis(self, i1, i2, j):
         return self.maps.get((i1, i2, j), ())
 
-    def triples_with_sources(self, i1, i2):
-        return [(t, ms) for t, ms in self.maps.items() if t[0] == i1 and t[1] == i2]
-
     def check_equivariance(self):
         """Verify every stored map intertwines the model actions.
 
@@ -308,13 +305,6 @@ class Decomposition:
         for s in self.summands:
             out.extend((s.id, j) for j in range(s.tau.ncols))
         return out
-
-    def model_coords(self, rid, v):
-        """Inverse of tau-bar on its image: model coordinates of v in summand rid."""
-        got = solve(self.by_id[rid].tau, v)
-        if got is None:
-            raise ValueError("vector not in summand %s" % rid)
-        return got[0]
 
     def to_json(self, include_tau=False):
         from .exactla import scalar_to_str

@@ -19,6 +19,7 @@ from .exactla import (
     Subspace,
     coords_modulo,
     kernel,
+    rref,
     scalar_to_str,
 )
 
@@ -149,10 +150,6 @@ def vee(a: BigradedElement, b: BigradedElement) -> BigradedElement:
 
 def _mono_elt(I, J, c):
     return BigradedElement({(I, J): c}) if c else BigradedElement()
-
-
-def _factors(I, J):
-    return [("d", i) for i in I] + [("p", j) for j in J]
 
 
 def _drop_factor(I, J, pos):
@@ -351,11 +348,24 @@ def _spaces(ctx, p, q):
     return ctx._cache[key]
 
 
+def _independent_modulo(W: Subspace, vecs):
+    """Indices of the vectors outside W + span(the vectors before them).
+
+    These are the pivot columns past W's of the column matrix [W | vecs]:
+    W's basis is independent, so each of its columns is a pivot.
+    """
+    cols = list(W.basis) + list(vecs)
+    pivots, _ = rref([[c[i] for c in cols] for i in range(W.ambient_dim)],
+                     len(cols))
+    return [c - W.dim for c in pivots[W.dim:]]
+
+
 def cohomology(ctx: ComplexContext, p, q, reps=None):
     """Representatives and boundary subspace for H^p(g, Lambda^q g).
 
-    Default representatives are echelon-canonical cocycles; ``reps`` may
-    inject explicit ones (verified to be cocycles, independent modulo
+    Default representatives are the echelon-canonical cocycles that are
+    independent modulo the boundaries and the cocycles before them; ``reps``
+    may inject explicit ones (verified to be cocycles, independent modulo
     boundaries, and of the right count).
     """
     basis = monomial_basis(ctx.n, p, q)
@@ -365,23 +375,19 @@ def cohomology(ctx: ComplexContext, p, q, reps=None):
         if len(reps) != betti:
             raise ValueError("expected %d representatives, got %d"
                              % (betti, len(reps)))
-        acc = boundary
+        vecs = []
         for z in reps:
             if not differential(z, ctx).is_zero():
                 raise NotACocycle("injected representative is not closed")
             v = to_coords(z, basis)
             if not cocycles.contains(v):
                 raise NotACocycle("representative outside the cocycle space")
-            if acc.contains(v):
-                raise ValueError("representatives dependent modulo boundaries")
-            acc = acc.add(Subspace(len(basis), [v]))
+            vecs.append(v)
+        if len(_independent_modulo(boundary, vecs)) != len(vecs):
+            raise ValueError("representatives dependent modulo boundaries")
         return list(reps), boundary
-    out = []
-    acc = boundary
-    for v in cocycles.basis:
-        if not acc.contains(v):
-            out.append(from_coords(v, basis))
-            acc = acc.add(Subspace(len(basis), [v]))
+    out = [from_coords(cocycles.basis[t], basis)
+           for t in _independent_modulo(boundary, cocycles.basis)]
     assert len(out) == betti
     return out, boundary
 

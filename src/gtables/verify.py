@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from .exactla import Matrix
 from .gtable import (
@@ -170,6 +171,62 @@ def run_morphism_equivalence(cases=100, seed=2024):
 # ---------------------------------------------------------------------------
 # named suites for the CLI
 
+def _scale_to_int(row):
+    # common denominator per row; scaling a row never changes row space,
+    # kernels or solution sets of the system the row belongs to
+    den = 1
+    for x in row:
+        if x:
+            den = den * x.denominator // gcd(den, x.denominator)
+    return [int(x * den) for x in row]
+
+
+def _rref_dense(rows, ncols):
+    """Dense reference for exactla.rref, which eliminates on sparse rows.
+
+    Same contract: (pivot columns, reduced rows as Fraction lists).  Forward
+    pass is integer Bareiss on lists; normalization happens once at the end.
+    """
+    m = [_scale_to_int(r) for r in rows]
+    nrows = len(m)
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if m[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+        piv = m[r][c]
+        for i in range(r + 1, nrows):
+            mic = m[i][c]
+            if mic == 0 and piv == prev:
+                continue
+            mr = m[r]
+            mi = m[i]
+            for j in range(c, ncols):
+                mi[j] = (mi[j] * piv - mic * mr[j]) // prev
+        prev = piv
+        pivots.append(c)
+        r += 1
+    # back substitution over Q, leading entries normalized to 1
+    red = [[Fraction(x) for x in m[i]] for i in range(len(pivots))]
+    for i in range(len(pivots) - 1, -1, -1):
+        c = pivots[i]
+        piv = red[i][c]
+        red[i] = [x / piv for x in red[i]]
+        for k in range(i):
+            f = red[k][c]
+            if f:
+                red[k] = [a - f * b for a, b in zip(red[k], red[i])]
+    return pivots, red
+
+
 def _suite_exactla():
     import random as _r
     from .exactla import rref, solve, kernel
@@ -179,7 +236,7 @@ def _suite_exactla():
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
         rows = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)]
                 for _ in range(nrows)]
-        if rref(rows, ncols, force="dense") != rref(rows, ncols, force="sparse"):
+        if rref(rows, ncols) != _rref_dense(rows, ncols):
             ok = False
         M = Matrix.from_rows(rows, ncols)
         x = [F(rng.randint(-3, 3)) for _ in range(ncols)]
@@ -268,27 +325,16 @@ SUITES = {
 }
 
 
-def run_suites(module=None, max_workers=None):
-    """Run property suites, optionally restricted to one module.
-
-    Suites are independent; GTABLE_THREADS (handled by the CLI) caps the
-    worker count.  Aggregation order is fixed regardless of scheduling.
-    """
+def run_suites(module=None):
+    """Run property suites in a fixed order, optionally restricted to one module."""
     names = [module] if module else list(SUITES)
     for name in names:
         if name not in SUITES:
             raise KeyError(name)
-    if max_workers and max_workers > 1 and len(names) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {name: pool.submit(SUITES[name]) for name in names}
-            results = {name: futures[name].result() for name in names}
-    else:
-        results = {name: SUITES[name]() for name in names}
     lines = []
     ok = True
     for name in names:
-        for label, passed, detail in results[name]:
+        for label, passed, detail in SUITES[name]():
             ok = ok and passed
             lines.append("%s %s (%s)" % ("PASS" if passed else "FAIL", label, detail))
     return ok, lines

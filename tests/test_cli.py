@@ -1,11 +1,41 @@
+import copy
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from gtables.cli import main
+from gtables.repkit import S3_ELEMENTS
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+# 3-dimensional algebra with [x1, x-1] = h0, injected summands
+H3_SPEC = {
+    "group": "SL2",
+    "dim": 3,
+    "action": {
+        "E": [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+        "H": [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
+        "F": [[0, 0, 0], [1, 0, 0], [0, 0, 0]],
+    },
+    "product": [
+        {"i": 0, "j": 1, "k": 2, "c": "1"},
+        {"i": 1, "j": 0, "k": 2, "c": "-1"},
+    ],
+    "summands": [
+        {"id": "h_0", "weight": 0, "hwv": ["0", "0", "1"]},
+        {"id": "h_1", "weight": 1, "hwv": ["1", "0", "0"]},
+    ],
+}
+
+
+def h3_spec(**changes):
+    spec = copy.deepcopy(H3_SPEC)
+    spec.update(changes)
+    return spec
 
 
 def run_cli(capsys, *argv):
@@ -52,12 +82,6 @@ def test_verify_unknown_module(capsys):
     assert code == 2
 
 
-def test_verify_respects_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("GTABLE_THREADS", "2")
-    code, out, err = run_cli(capsys, "verify", "--module", "exactla")
-    assert code == 0
-
-
 def test_gln_check_exit_codes(capsys):
     code, out, err = run_cli(capsys, "gln", "check", "--n", "2")
     assert code == 0
@@ -77,26 +101,8 @@ def test_extract_spec_matches_builtin_bracket(capsys, tmp_path):
 
 
 def test_extract_spec_small_algebra(capsys, tmp_path):
-    # 3-dimensional algebra with [x1, x-1] = h0, injected summands
-    spec = {
-        "group": "SL2",
-        "dim": 3,
-        "action": {
-            "E": [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
-            "H": [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
-            "F": [[0, 0, 0], [1, 0, 0], [0, 0, 0]],
-        },
-        "product": [
-            {"i": 0, "j": 1, "k": 2, "c": "1"},
-            {"i": 1, "j": 0, "k": 2, "c": "-1"},
-        ],
-        "summands": [
-            {"id": "h_0", "weight": 0, "hwv": ["0", "0", "1"]},
-            {"id": "h_1", "weight": 1, "hwv": ["1", "0", "0"]},
-        ],
-    }
     path = tmp_path / "h3.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(H3_SPEC))
     code, out, err = run_cli(capsys, "extract", "--spec", str(path),
                              "--format", "json")
     assert code == 0, err
@@ -177,3 +183,30 @@ def test_verify_module_golden(capsys, golden):
     code, out, err = run_cli(capsys, "verify", "--module", "exactla")
     assert code == 0
     golden("verify_exactla.txt", out)
+
+
+@pytest.mark.parametrize("spec,field", [
+    (h3_spec(product=[{"i": 0, "j": 1, "k": 2, "c": "1/0"}]), "product[0].c"),
+    (h3_spec(dim="3"), "dim"),
+    (h3_spec(action=[[0, 1, 0], [0, 0, 0], [0, 0, 0]]), "action"),
+    ([H3_SPEC], "spec"),
+    (h3_spec(summands=[{"id": "h_5", "weight": 5, "hwv": ["1", "0", "0"]}]),
+     "summands[0].weight"),
+    ({"group": "S3", "dim": 1, "action": {g: [[1]] for g in S3_ELEMENTS},
+      "product": [], "summands": [{"id": "a", "label": "alt", "vectors": [["1"]]}]},
+     "summands[0].label"),
+    # GL(k) spec files are not supported by extract
+    ({"group": "GLk", "k": 2, "dim": 1, "action": {}, "product": []},
+     "unknown group"),
+], ids=["zero-denominator", "string-dim", "list-action", "top-level-array",
+        "unlabeled-weight", "unknown-s3-label", "glk"])
+def test_extract_malformed_spec_exits_2(tmp_path, spec, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gtables", "extract", "--spec", str(path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert field in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from gtables.exactla import Subspace
 from gtables.supercochain import (
     BigradedElement,
     ComplexContext,
     NotACocycle,
+    _spaces,
     bracket,
     class_coords,
     cohomology,
@@ -318,6 +320,39 @@ def test_injected_representatives_are_verified():
     ]
     with pytest.raises(ValueError):
         cohomology(ctx, 1, 1, reps=reps11)  # wrong count: betti is 4
+
+
+def test_injected_representatives_dependent_modulo_boundaries():
+    ctx = heisenberg_context()
+    reps, boundary = cohomology(ctx, 1, 1)
+    assert boundary.dim > 0
+    b = BigradedElement.zero()
+    for m, c in zip(monomial_basis(3, 1, 1), boundary.basis[0]):
+        if c:
+            b = b + M(m[0], m[1], c)
+    # right count, every one a cocycle, the last a multiple of the first
+    # plus a boundary
+    dependent = reps[:-1] + [reps[0].scale(2) + b]
+    with pytest.raises(ValueError, match="dependent modulo boundaries"):
+        cohomology(ctx, 1, 1, reps=dependent)
+
+
+def test_cohomology_selection_matches_incremental_loop():
+    # the selection as one echelon pass over [boundary | cocycles] against
+    # the greedy loop that grows the span one chosen cocycle at a time
+    ctx = heisenberg_context()
+    for p in range(4):
+        for q in range(4):
+            basis = monomial_basis(3, p, q)
+            cocycles, boundary = _spaces(ctx, p, q)
+            expected = []
+            acc = boundary
+            for v in cocycles.basis:
+                if not acc.contains(v):
+                    expected.append(v)
+                    acc = Subspace(len(basis), list(acc.basis) + [v])
+            reps, _ = cohomology(ctx, p, q)
+            assert [to_coords(z, basis) for z in reps] == expected, (p, q)
 
 
 def test_rendering():
