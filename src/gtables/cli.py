@@ -197,7 +197,7 @@ def _get(obj, key, kind, field):
 def _scalar(x, field):
     try:
         return scalar_from_str(str(x))
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise ValueError("%s: %r is not an exact rational" % (field, x)) from None
 
 

@@ -29,7 +29,10 @@ def scalar_to_str(x: Fraction) -> str:
 def scalar_from_str(s: str) -> Fraction:
     if "/" in s:
         num, den = s.split("/")
-        return Fraction(int(num), int(den))
+        den = int(den)
+        if not den:
+            raise ValueError("zero denominator in %r" % s)
+        return Fraction(int(num), den)
     return Fraction(int(s))
 
 

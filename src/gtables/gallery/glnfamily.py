@@ -115,9 +115,8 @@ def _coords(u):
     return tuple([a0] + glk_coords(A0, n) + glk_coords(A1, n) + [a1])
 
 
-def _from_coords(n, c):
+def _from_coords(n, sl, c):
     d = n * n - 1
-    sl, _ = glk_basis(n)
     A0 = {}
     A1 = {}
     for x, B in zip(c[1:1 + d], sl):
@@ -130,6 +129,31 @@ def _from_coords(n, c):
                 A1[key] = A1.get(key, F(0)) + x * v
     return (n, c[0], {k: v for k, v in A0.items() if v},
             c[-1], {k: v for k, v in A1.items() if v})
+
+
+def _coordinate_maps(n):
+    """The product and the bracket as maps of module coordinate vectors."""
+    sl, _ = glk_basis(n)
+
+    def on_coords(op):
+        return lambda u, v: _coords(op(_from_coords(n, sl, u),
+                                       _from_coords(n, sl, v)))
+
+    return on_coords(gln_product), on_coords(gln_bracket)
+
+
+def _conjugation_action(n, mats):
+    """{name: matrix of X -> PX - XP on both slots} for the named P in mats."""
+    basis = _basis_elements(n)
+    action = {}
+    for name, P in mats.items():
+        cols = []
+        for _, _, A0, _, A1 in basis:
+            C0 = smat_sub(smat_mul(P, A0), smat_mul(A0, P))
+            C1 = smat_sub(smat_mul(P, A1), smat_mul(A1, P))
+            cols.append(_coords((n, F(0), C0, F(0), C1)))
+        action[name] = Matrix.from_cols(cols, nrows=len(basis))
+    return action
 
 
 def _structure(n, op):
@@ -238,20 +262,10 @@ GLN_BRACKET_TABLE = {
 def _gln_module(n):
     """The 2n^2-dimensional module with GL(n) acting by simultaneous
     conjugation on both slots (ad operators E_pq on coordinates)."""
-    basis = _basis_elements(n)
-    dim = len(basis)
-    action = {}
-    for p in range(n):
-        for q in range(n):
-            P = {(p, q): F(1)}
-            cols = []
-            for u in basis:
-                _, a0, A0, a1, A1 = u
-                C0 = smat_sub(smat_mul(P, A0), smat_mul(A0, P))
-                C1 = smat_sub(smat_mul(P, A1), smat_mul(A1, P))
-                cols.append(_coords((n, F(0), C0, F(0), C1)))
-            action["E_%d%d" % (p + 1, q + 1)] = Matrix.from_cols(cols, nrows=dim)
-    return GModule("GLk", dim, action, validate=False)
+    mats = {"E_%d%d" % (p + 1, q + 1): {(p, q): F(1)}
+            for p in range(n) for q in range(n)}
+    return GModule("GLk", 2 * n * n, _conjugation_action(n, mats),
+                   validate=False)
 
 
 def gln_tables(n, check_fixtures=True):
@@ -267,12 +281,7 @@ def gln_tables(n, check_fixtures=True):
     module = _gln_module(n)
     dim = module.dim
     d = n * n - 1
-
-    def product(u, v):
-        return _coords(gln_product(_from_coords(n, u), _from_coords(n, v)))
-
-    def brk(u, v):
-        return _coords(gln_bracket(_from_coords(n, u), _from_coords(n, v)))
+    product, brk = _coordinate_maps(n)
 
     def block_tau(offset, width):
         cols = []
@@ -307,26 +316,10 @@ def gln_sl2_tables(n=3):
     if n != 3:
         raise ValueError("the corner-SL(2) decomposition is built for n = 3")
     reg = builtin_labeling("SL2")
-    basis = _basis_elements(n)
-    dim = len(basis)
     embed = {"E": {(0, 1): F(1)}, "H": {(0, 0): F(1), (1, 1): F(-1)},
              "F": {(1, 0): F(1)}}
-    action = {}
-    for op, P in embed.items():
-        cols = []
-        for u in basis:
-            _, a0, A0, a1, A1 = u
-            C0 = smat_sub(smat_mul(P, A0), smat_mul(A0, P))
-            C1 = smat_sub(smat_mul(P, A1), smat_mul(A1, P))
-            cols.append(_coords((n, F(0), C0, F(0), C1)))
-        action[op] = Matrix.from_cols(cols, nrows=dim)
-    module = GModule("SL2", dim, action)
-
-    def product(u, v):
-        return _coords(gln_product(_from_coords(n, u), _from_coords(n, v)))
-
-    def brk(u, v):
-        return _coords(gln_bracket(_from_coords(n, u), _from_coords(n, v)))
+    module = GModule("SL2", 2 * n * n, _conjugation_action(n, embed))
+    product, brk = _coordinate_maps(n)
 
     Z = {(0, 0): F(1), (1, 1): F(1), (2, 2): F(-2)}
     hw_mats = [

@@ -3,9 +3,10 @@
 A table stores, per pair of source summands (r1, r2), the coefficients
 c_{r1,r2}^{s,q} of the product restricted to image(tau_r1) (x) image(tau_r2),
 in the basis tau_s o m_q o (tau_r1 (x) tau_r2)^{-1} built from a labeling.
-Extraction solves for the coefficients exactly on a full basis, so an
-inconsistent system doubles as a non-equivariance (or wrong-registry)
-detector.
+Extraction solves for the coefficients exactly on a full basis, so a solved
+table certifies that the product is equivariant, and an inconsistent system
+doubles as a non-equivariance (or wrong-registry) detector: only then is the
+product checked operator by operator, to tell the two apart.
 """
 
 from __future__ import annotations
@@ -95,20 +96,29 @@ class GTable:
 
 
 def extract(product, dec: Decomposition, registry: IntertwinerRegistry,
-            target_dec: Decomposition | None = None, op_symbol="*",
-            check_equivariance=True) -> GTable:
+            target_dec: Decomposition | None = None, op_symbol="*") -> GTable:
     """Coefficients of an equivariant bilinear map over the decompositions.
 
     ``product`` maps two module coordinate vectors to one (bilinear).  The
-    solved coefficients reproduce the product exactly on every basis pair;
-    failure modes: NotEquivariant (generator sample check), InconsistentSystem
-    (no exact solution: wrong decomposition, wrong registry or non-equivariant
-    product), AmbiguousSystem (dependent candidate intertwiner images).
+    solved coefficients reproduce the product exactly on every basis pair,
+    which certifies that it is equivariant.  Failure modes: NotEquivariant
+    (the solve failed and the product fails equivariance on some operator and
+    basis pair), InconsistentSystem (no exact solution although the product
+    is equivariant: wrong decomposition or wrong registry), AmbiguousSystem
+    (dependent candidate intertwiner images; a defect of the registry, raised
+    whether or not the product is equivariant).
     """
     target_dec = target_dec or dec
-    module = dec.module
-    if check_equivariance:
-        _check_product_equivariance(product, module, target_dec.module)
+    try:
+        entries = _solve_cells(product, dec, registry, target_dec)
+    except InconsistentSystem:
+        _check_product_equivariance(product, dec.module, target_dec.module)
+        raise
+    return GTable(dec, target_dec, registry, entries, op_symbol=op_symbol)
+
+
+def _solve_cells(product, dec, registry, target_dec):
+    """{(r1, r2): [(s, q, c), ...]} solved exactly per pair of summands."""
     entries = {}
     for r1 in dec.summands:
         m1 = registry.models[r1.irrep]
@@ -169,40 +179,26 @@ def extract(product, dec: Decomposition, registry: IntertwinerRegistry,
                     for i in range(nc) if sol[i]]
             if cell:
                 entries[(r1.id, r2.id)] = cell
-    return GTable(dec, target_dec, registry, entries, op_symbol=op_symbol)
+    return entries
 
 
-def _check_product_equivariance(product, module, target_module, max_pairs=400):
-    # a generator sample, strided over basis pairs on larger modules; the
-    # exact full-basis verification happens anyway inside the extraction solve
-    ops = _generator_sample(module)
+def _check_product_equivariance(product, module, target_module):
     n = module.dim
     units = [_unit(n, i) for i in range(n)]
-    stride = max(1, (n * n + max_pairs - 1) // max_pairs)
-    for op in ops:
-        X = module.action[op]
+    for op, X in module.action.items():
         Y = target_module.action[op]
-        for t in range(0, n * n, stride):
-            i, j = divmod(t, n)
-            Xu = X.col(i)
-            Xv = X.col(j)
-            if module.group == "S3":
-                lhs = product(Xu, Xv)
-                rhs = Y.matvec(product(units[i], units[j]))
-            else:
-                a = product(Xu, units[j])
-                b = product(units[i], Xv)
-                lhs = tuple(x + y for x, y in zip(a, b))
-                rhs = Y.matvec(product(units[i], units[j]))
-            if tuple(lhs) != tuple(rhs):
-                raise NotEquivariant(
-                    "product fails equivariance at operator %s, basis "
-                    "pair (%d, %d)" % (op, i, j))
-
-
-def _generator_sample(module):
-    from .repkit import generator_sample
-    return generator_sample(module.group, module.action)
+        for i in range(n):
+            for j in range(n):
+                if module.group == "S3":
+                    lhs = product(X.col(i), X.col(j))
+                else:
+                    a = product(X.col(i), units[j])
+                    b = product(units[i], X.col(j))
+                    lhs = tuple(x + y for x, y in zip(a, b))
+                if tuple(lhs) != tuple(Y.matvec(product(units[i], units[j]))):
+                    raise NotEquivariant(
+                        "product fails equivariance at operator %s, basis "
+                        "pair (%d, %d)" % (op, i, j))
 
 
 def product_from_structure(n, triples):
@@ -493,8 +489,7 @@ def corollary_check(tA: GTable, tB: GTable, f: GMatrix) -> bool:
 # ---------------------------------------------------------------------------
 # cotables
 
-def cotable(delta, dec: Decomposition, registry: IntertwinerRegistry,
-            check_equivariance=True) -> GTable:
+def cotable(delta, dec: Decomposition, registry: IntertwinerRegistry) -> GTable:
     """Table of the dual product of a comultiplication.
 
     ``delta`` maps basis index i to a list of (j, k, c) with
@@ -511,8 +506,7 @@ def cotable(delta, dec: Decomposition, registry: IntertwinerRegistry,
                     out[i] += c * u[j] * v[k]
         return tuple(out)
 
-    return extract(product, dec, registry, op_symbol="*",
-                   check_equivariance=check_equivariance)
+    return extract(product, dec, registry, op_symbol="*")
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,14 @@ Chevalley-Eilenberg differential d = {mu,-}, and cohomology.
 Monomials are stored canonically: strictly increasing dual index tuple I,
 strictly increasing primal index tuple J, signs absorbed into the coefficient.
 The bracket is the degree (-1,-1) Lie super bracket generated by
-{g,g} = {g*,g*} = 0 and {xi, e} = xi(e), extended as a biderivation; the
-extension peels one degree-one factor at a time, and the result is independent
-of the peeling order (tested, not assumed).
+{g,g} = {g*,g*} = 0 and {xi, e} = xi(e), extended as a biderivation.  In
+closed form it is the odd-Poisson formula
+
+    {a, b} = sum_g (a d<-/dg)(d->/dg* b)
+
+over the degree-one generators g and their partners g* (xi_i <-> e_i), with a
+right derivative on a and a left derivative on b.  The tests compare it with
+the biderivation extension computed by peeling one factor at a time.
 """
 
 from __future__ import annotations
@@ -43,12 +48,6 @@ def _sort_tuple(seq):
         if j > 0 and seq[j - 1] == seq[j]:
             return None
     return sign, tuple(seq)
-
-
-def _merge(A, B):
-    """Concatenate two increasing tuples, returning (sign, merged) or None."""
-    out = _sort_tuple(list(A) + list(B))
-    return out
 
 
 class BigradedElement:
@@ -136,10 +135,10 @@ def vee(a: BigradedElement, b: BigradedElement) -> BigradedElement:
     for (I1, J1), c1 in a.terms.items():
         q1 = len(J1)
         for (I2, J2), c2 in b.terms.items():
-            mi = _merge(I1, I2)
+            mi = _sort_tuple(I1 + I2)
             if mi is None:
                 continue
-            mj = _merge(J1, J2)
+            mj = _sort_tuple(J1 + J2)
             if mj is None:
                 continue
             sign = mi[0] * mj[0] * (-1 if (len(I2) * q1) % 2 else 1)
@@ -148,69 +147,51 @@ def vee(a: BigradedElement, b: BigradedElement) -> BigradedElement:
     return BigradedElement(out)
 
 
-def _mono_elt(I, J, c):
-    return BigradedElement({(I, J): c}) if c else BigradedElement()
+def _word(I, J):
+    """xi_I e_J as a word of odd letters: (0, i) for xi_i, (1, j) for e_j."""
+    return [(0, i) for i in I] + [(1, j) for j in J]
 
 
-def _drop_factor(I, J, pos):
-    """Remove the factor at position pos, returning (sign, I', J').
+def _word_bracket(wa, wb):
+    """Terms (sign, I, J) of the bracket of two monomial words.
 
-    The sign moves the factor to the front past pos odd factors.
+    One term per letter g of a whose partner g* occurs in b: moving g to the
+    end of a passes len(a) - 1 - p letters, moving g* to the front of b passes
+    s letters, and sorting what is left into canonical order gives the rest
+    of the sign.
     """
-    sign = -1 if pos % 2 else 1
-    if pos < len(I):
-        I2 = I[:pos] + I[pos + 1:]
-        return sign, ("d", I[pos]), I2, J
-    p = pos - len(I)
-    J2 = J[:p] + J[p + 1:]
-    return sign, ("p", J[p]), I, J2
-
-
-def bracket(a: BigradedElement, b: BigradedElement, _pick=None) -> BigradedElement:
-    """Poisson super bracket, bidegree (-1,-1).
-
-    ``_pick`` overrides which factor of the left argument is peeled at each
-    step (callable nfactors -> index); it exists so the tests can certify
-    peeling-order independence.
-    """
-    pick = _pick or (lambda n: 0)
-    out = BigradedElement()
-    for (I1, J1), c1 in a.terms.items():
-        for (I2, J2), c2 in b.terms.items():
-            t = _bracket_mono(I1, J1, I2, J2, pick)
-            if not t.is_zero():
-                out = out + t.scale(c1 * c2)
+    out = []
+    last = len(wa) - 1
+    for p, (kind, i) in enumerate(wa):
+        partner = (1 - kind, i)
+        if partner not in wb:
+            continue
+        s = wb.index(partner)
+        st = _sort_tuple(wa[:p] + wa[p + 1:] + wb[:s] + wb[s + 1:])
+        if st is None:
+            continue
+        sign, word = st
+        if (last - p + s) % 2:
+            sign = -sign
+        out.append((sign, tuple(x for k, x in word if not k),
+                    tuple(x for k, x in word if k)))
     return out
 
 
-def _bracket_mono(I1, J1, I2, J2, pick):
-    d1 = len(I1) + len(J1)
-    d2 = len(I2) + len(J2)
-    if d1 == 0 or d2 == 0:
-        return BigradedElement.zero()
-    if d1 == 1:
-        if d2 == 1:
-            # generators: {xi_i, e_j} = {e_j, xi_i} = delta_ij, rest zero
-            if len(I1) == 1 and len(J2) == 1:
-                return BigradedElement.one() if I1[0] == J2[0] else BigradedElement.zero()
-            if len(J1) == 1 and len(I2) == 1:
-                return BigradedElement.one() if J1[0] == I2[0] else BigradedElement.zero()
-            return BigradedElement.zero()
-        # move the composite argument to the left: {u,b} = -(-1)^(1*d2) {b,u}
-        res = _bracket_mono(I2, J2, I1, J1, pick)
-        return res if d2 % 2 else res.scale(F(-1))
-    # peel one degree-one factor u off the left argument:
-    # {u v a', b} = u v {a', b} + (-1)^deg(a') a' v {u, b}
-    pos = pick(d1)
-    sgn, u, I1r, J1r = _drop_factor(I1, J1, pos)
-    uI, uJ = ((u[1],), ()) if u[0] == "d" else ((), (u[1],))
-    ue = _mono_elt(uI, uJ, F(1))
-    rest = _mono_elt(I1r, J1r, F(1))
-    t1 = vee(ue, bracket(rest, _mono_elt(I2, J2, F(1)), pick))
-    t2 = vee(rest, _bracket_mono(uI, uJ, I2, J2, pick))
-    if (d1 - 1) % 2:
-        t2 = t2.scale(F(-1))
-    return (t1 + t2).scale(F(sgn))
+def bracket(a: BigradedElement, b: BigradedElement) -> BigradedElement:
+    """Poisson super bracket, bidegree (-1,-1).
+
+    {a, b} = sum_g (a d<-/dg)(d->/dg* b), summed over the generators g and
+    their partners g* (xi_i <-> e_i); both kinds of letter take the same sign.
+    """
+    words = [(_word(I, J), c) for (I, J), c in b.terms.items()]
+    out = {}
+    for (I1, J1), c1 in a.terms.items():
+        wa = _word(I1, J1)
+        for wb, c2 in words:
+            for sign, I, J in _word_bracket(wa, wb):
+                out[(I, J)] = out.get((I, J), F(0)) + sign * c1 * c2
+    return BigradedElement(out)
 
 
 class ComplexContext:

@@ -260,7 +260,8 @@ def test_iso_archived_fixture_is_a_morphism(he_report):
 
 def test_extract_expand_roundtrip_on_gallery_algebras(he_report):
     # expanded structure constants agree with the defining products
-    from gtables.gallery.glnfamily import _coords, _from_coords
+    from gtables.gallery.glnfamily import _coordinate_maps
+    _, brk = _coordinate_maps(3)
     tp, tb = gln_tables(3, check_fixtures=False)
     E = expand(tb)
     B = tb.source.basis_matrix()
@@ -270,7 +271,7 @@ def test_extract_expand_roundtrip_on_gallery_algebras(he_report):
         for j in range(0, n, 3):
             u = B.col(i)
             v = B.col(j)
-            direct = _coords(gln_bracket(_from_coords(3, u), _from_coords(3, v)))
+            direct = brk(u, v)
             via = B.matvec(E.product_coords(
                 tuple(F(1 if a == i else 0) for a in range(n)),
                 tuple(F(1 if a == j else 0) for a in range(n))))

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from gtables.exactla import Matrix
+from gtables.exactla import Matrix, scalar_from_str
+from gtables.gallery import gln_tables
+from gtables.gallery.fixtures import s3_decomposition
+from gtables.gallery.glnfamily import _coordinate_maps
 from gtables.gtable import (
     AmbiguousSystem,
     GMatrix,
@@ -180,6 +183,31 @@ def test_extract_not_equivariant():
         extract(bad, dec, reg)
 
 
+def test_extract_not_equivariant_s3():
+    reg, dec = s3_decomposition()
+    bad = product_from_structure(6, [(1, 1, 1, 1)])  # "(12) * (12) = (12)"
+    with pytest.raises(NotEquivariant):
+        extract(bad, dec, reg)
+
+
+def test_extract_calls_product_once_per_basis_pair():
+    # a solved table certifies equivariance, so no check adds product calls
+    tp, _ = gln_tables(3, check_fixtures=False)
+    h_reg, h_dec = heisenberg_dec()
+    cases = [(heisenberg_bracket_product(), h_dec, h_reg),
+             (_coordinate_maps(3)[0], tp.source, tp.registry)]
+    for product, dec, reg in cases:
+        calls = []
+
+        def counted(u, v):
+            calls.append((u, v))
+            return product(u, v)
+
+        extract(counted, dec, reg)
+        dims = [reg.models[s.irrep].dim for s in dec.summands]
+        assert len(calls) == sum(d1 * d2 for d1 in dims for d2 in dims)
+
+
 def test_extract_inconsistent_when_registry_lacks_triple():
     D = 3
     reg = sl2_poly_labeling(D)
@@ -284,13 +312,21 @@ def test_render_and_parse_roundtrip():
         render(t, "html")
 
 
+def test_zero_denominator_is_value_error():
+    with pytest.raises(ValueError):
+        scalar_from_str("1/0")
+    with pytest.raises(ValueError):
+        parse_gtable('{"group": "SL2", "labeling": "x", "summands": [], '
+                     '"entries": [{"c": "1/0"}]}')
+
+
 def test_extract_determinism():
     rng = random.Random(3)
     from gtables.verify import random_galgebra
     reg = builtin_labeling("SL2")
     pool = [IrrepId("SL2", 0), IrrepId("SL2", 1), IrrepId("SL2", 2)]
     dec, table, product = random_galgebra(rng, reg, pool, 3)
-    t1 = extract(product, dec, reg, check_equivariance=False)
-    t2 = extract(product, dec, reg, check_equivariance=False)
+    t1 = extract(product, dec, reg)
+    t2 = extract(product, dec, reg)
     assert t1 == t2 == table
     assert to_json(t1) == to_json(t2)
