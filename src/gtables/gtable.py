@@ -7,6 +7,10 @@ Extraction solves for the coefficients exactly on a full basis, so a solved
 table certifies that the product is equivariant, and an inconsistent system
 doubles as a non-equivariance (or wrong-registry) detector: only then is the
 product checked operator by operator, to tell the two apart.
+
+Expansion needs no inverse: the columns of a decomposition's basis matrix are
+the images tau_s(e_j), so tau_s(w) has the coordinates w placed at the offset
+of s in the concatenated basis.
 """
 
 from __future__ import annotations
@@ -118,54 +122,45 @@ def extract(product, dec: Decomposition, registry: IntertwinerRegistry,
 
 
 def _solve_cells(product, dec, registry, target_dec):
-    """{(r1, r2): [(s, q, c), ...]} solved exactly per pair of summands."""
+    """{(r1, r2): [(s, q, c), ...]} solved exactly per pair of summands.
+
+    The candidate images tau_s o m_q on every basis pair, and their
+    deduplicated equation rows, depend only on the irreps of r1 and r2, so
+    they are built once per irrep pair (``_candidate_system``); each pair of
+    summands then only evaluates the product and solves.
+    """
+    systems = {}
     entries = {}
     for r1 in dec.summands:
-        m1 = registry.models[r1.irrep]
+        d1 = registry.models[r1.irrep].dim
         for r2 in dec.summands:
-            m2 = registry.models[r2.irrep]
-            pairs = [(a, b) for a in range(m1.dim) for b in range(m2.dim)]
+            d2 = registry.models[r2.irrep].dim
+            key = (r1.irrep, r2.irrep)
+            if key not in systems:
+                systems[key] = _candidate_system(registry, *key, target_dec)
+            cands, zero, rows = systems[key]
+            vs = [r2.tau.col(b) for b in range(d2)]
             lhs = []
-            for a, b in pairs:
-                lhs.extend(product(r1.tau.col(a), r2.tau.col(b)))
-            cands = []
-            for s in target_dec.summands:
-                for qi, m in enumerate(
-                        registry.basis(r1.irrep, r2.irrep, s.irrep)):
-                    col = []
-                    for a, b in pairs:
-                        # m on a unit tensor is a column of its matrix
-                        w = m.matrix.col(a * m2.dim + b)
-                        col.extend(s.tau.matvec(w))
-                    cands.append((s.id, qi + 1, col))
+            for a in range(d1):
+                u = r1.tau.col(a)
+                for v in vs:
+                    lhs.extend(product(u, v))
             if not cands:
                 if any(lhs):
                     raise InconsistentSystem(
                         "product on (%s, %s) is nonzero but the registry "
                         "reaches no target summand" % (r1.id, r2.id))
                 continue
-            # dedupe equation rows: the tensor structure repeats them heavily
-            nc = len(cands)
-            uniq = {}
-            for t in range(len(lhs)):
-                arow = tuple(c[2][t] for c in cands)
-                b = lhs[t]
-                if not any(arow):
-                    if b:
-                        raise InconsistentSystem(
-                            "product on (%s, %s) has a component outside "
-                            "the registry's reach" % (r1.id, r2.id))
-                    continue
-                if arow in uniq:
-                    if uniq[arow] != b:
-                        raise InconsistentSystem(
-                            "product on (%s, %s) has a component outside "
-                            "the registry's reach" % (r1.id, r2.id))
-                else:
-                    uniq[arow] = b
-            if not uniq:
+            if any(lhs[t] for t in zero) or any(
+                    lhs[t] != lhs[ts[0]] for _, ts in rows for t in ts[1:]):
+                raise InconsistentSystem(
+                    "product on (%s, %s) has a component outside the "
+                    "registry's reach" % (r1.id, r2.id))
+            if not rows:
                 continue
-            pivots, red = rref([list(r) + [b] for r, b in uniq.items()], nc + 1)
+            nc = len(cands)
+            pivots, red = rref([row + (lhs[ts[0]],) for row, ts in rows],
+                               nc + 1)
             arank = sum(1 for p in pivots if p < nc)
             if arank < nc:
                 raise AmbiguousSystem(
@@ -174,12 +169,40 @@ def _solve_cells(product, dec, registry, target_dec):
                 raise InconsistentSystem(
                     "product on (%s, %s) has a component outside the "
                     "registry's reach" % (r1.id, r2.id))
-            sol = [red[i][nc] for i in range(nc)]
-            cell = [(cands[i][0], cands[i][1], sol[i])
-                    for i in range(nc) if sol[i]]
+            cell = [(cands[i][0], cands[i][1], red[i][nc])
+                    for i in range(nc) if red[i][nc]]
             if cell:
                 entries[(r1.id, r2.id)] = cell
     return entries
+
+
+def _candidate_system(registry, i1, i2, target_dec):
+    """Candidate maps and deduplicated equation rows for one pair of irreps.
+
+    Equation t = (a * d2 + b) * dim + k is coordinate k of the product on the
+    basis pair (a, b); candidate (s, q) contributes tau_s(m_q(e_a (x) e_b)).
+    Returns (candidates [(s_id, q)], equation indices whose row is zero,
+    [(distinct nonzero row, equation indices sharing it)]), rows in order of
+    first occurrence: the tensor structure repeats rows heavily.
+    """
+    cands = []
+    cols = []
+    for s in target_dec.summands:
+        for qi, m in enumerate(registry.basis(i1, i2, s.irrep)):
+            col = []
+            for t in range(m.matrix.ncols):
+                # m on a unit tensor is a column of its matrix
+                col.extend(s.tau.matvec(m.matrix.col(t)))
+            cands.append((s.id, qi + 1))
+            cols.append(col)
+    zero = []
+    rows = {}
+    for t, row in enumerate(zip(*cols)):
+        if any(row):
+            rows.setdefault(row, []).append(t)
+        else:
+            zero.append(t)
+    return cands, zero, list(rows.items())
 
 
 def _check_product_equivariance(product, module, target_module):
@@ -243,39 +266,52 @@ class ExpandedAlgebra:
         return tuple(out.get(k, F(0)) for k in range(len(self.basis)))
 
 
+def _offsets(dec):
+    """Position of each summand's first basis vector in the concatenated basis."""
+    out = {}
+    pos = 0
+    for s in dec.summands:
+        out[s.id] = pos
+        pos += s.tau.ncols
+    return out
+
+
 def expand(table: GTable) -> ExpandedAlgebra:
+    """Structure constants of the table on the concatenated model bases.
+
+    The columns of the target's basis matrix are the images tau_s(e_j), so
+    the coordinates of tau_s(w) are w placed at the offset of s.  The row of
+    the basis pair (offset(r1) + a, offset(r2) + b) is therefore the sum over
+    the cell of c * m_q(e_a (x) e_b), each shifted to the offset of s; no
+    module vector is formed.
+    """
     src = table.source
     tgt = table.target
     reg = table.registry
-    basis = src.basis_index()
-    Binv = tgt.basis_matrix().inverse()
+    src_off = _offsets(src)
+    tgt_off = _offsets(tgt)
     struct = {}
-    offsets = {}
-    pos = 0
-    for s in src.summands:
-        offsets[s.id] = pos
-        pos += s.tau.ncols
     for r1 in src.summands:
-        m1 = reg.models[r1.irrep]
+        d1 = reg.models[r1.irrep].dim
         for r2 in src.summands:
-            m2 = reg.models[r2.irrep]
-            cell = table.cell(r1.id, r2.id)
+            d2 = reg.models[r2.irrep].dim
+            cell = [(c, tgt_off[sid],
+                     reg.basis(r1.irrep, r2.irrep,
+                               tgt.by_id[sid].irrep)[q - 1].matrix)
+                    for (sid, q, c) in table.cell(r1.id, r2.id)]
             if not cell:
                 continue
-            for a in range(m1.dim):
-                for b in range(m2.dim):
-                    val = [F(0)] * tgt.module.dim
-                    for (sid, q, c) in cell:
-                        m = reg.basis(r1.irrep, r2.irrep,
-                                      tgt.by_id[sid].irrep)[q - 1]
-                        w = m.matrix.col(a * m2.dim + b)
-                        img = tgt.by_id[sid].tau.matvec(w)
-                        val = [x + c * y for x, y in zip(val, img)]
-                    if any(val):
-                        coords = Binv.matvec(val)
-                        row = {k: c for k, c in enumerate(coords) if c}
-                        struct[(offsets[r1.id] + a, offsets[r2.id] + b)] = row
-    return ExpandedAlgebra(basis, struct)
+            for a in range(d1):
+                for b in range(d2):
+                    acc = {}
+                    for c, off, M in cell:
+                        for k, x in enumerate(M.col(a * d2 + b)):
+                            if x:
+                                acc[off + k] = acc.get(off + k, F(0)) + c * x
+                    row = {k: acc[k] for k in sorted(acc) if acc[k]}
+                    if row:
+                        struct[(src_off[r1.id] + a, src_off[r2.id] + b)] = row
+    return ExpandedAlgebra(src.basis_index(), struct)
 
 
 # ---------------------------------------------------------------------------

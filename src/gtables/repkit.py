@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import isqrt
 
 from .exactla import Matrix, Subspace, kernel, solve
 
@@ -236,7 +238,26 @@ class GModule:
                 for b in S3_ELEMENTS:
                     if self.action[a] @ self.action[b] != self.action[s3_compose(a, b)]:
                         raise ValueError("S3 action is not a homomorphism")
-        # GL(k) modules carry ad operators; their relations are not re-checked here
+        elif self.group == "GLk":
+            k = isqrt(len(self.action))
+            names = ["E_%d%d" % (p, q) for p in range(1, k + 1)
+                     for q in range(1, k + 1)]
+            if set(names) != set(self.action):
+                raise ValueError("a GL(k) action needs the k^2 operators E_pq")
+            X = self.action
+            zero = Matrix.zeros(self.dim, self.dim)
+            # [X_pq, X_rs] = d_qr X_ps - d_sp X_rq is antisymmetric in the
+            # two operators, so each unordered pair is checked once
+            for a, b in combinations(names, 2):
+                p, q, r, s = a[2], a[3], b[2], b[3]
+                rhs = zero
+                if q == r:
+                    rhs = rhs + X["E_" + p + s]
+                if s == p:
+                    rhs = rhs - X["E_" + r + q]
+                if X[a] @ X[b] - X[b] @ X[a] != rhs:
+                    raise ValueError("[%s, %s] breaks the GL(k) relations"
+                                     % (a, b))
 
     def __repr__(self):
         return "GModule(%s, dim %d)" % (self.group, self.dim)

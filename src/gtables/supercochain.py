@@ -302,12 +302,16 @@ def from_coords(v, basis):
 
 
 def _d_matrix(ctx, p, q):
-    """Matrix of d: C^{p,q} -> C^{p+1,q} on the monomial bases."""
-    src = monomial_basis(ctx.n, p, q)
-    dst = monomial_basis(ctx.n, p + 1, q)
-    cols = [to_coords(differential(BigradedElement({m: F(1)}), ctx), dst)
-            for m in src]
-    return Matrix.from_cols(cols, nrows=len(dst)) if src else Matrix.zeros(len(dst), 0)
+    """Matrix of d: C^{p,q} -> C^{p+1,q} on the monomial bases, memoized."""
+    key = ("d", p, q)
+    if key not in ctx._cache:
+        src = monomial_basis(ctx.n, p, q)
+        dst = monomial_basis(ctx.n, p + 1, q)
+        cols = [to_coords(differential(BigradedElement({m: F(1)}), ctx), dst)
+                for m in src]
+        ctx._cache[key] = (Matrix.from_cols(cols, nrows=len(dst)) if src
+                           else Matrix.zeros(len(dst), 0))
+    return ctx._cache[key]
 
 
 def _spaces(ctx, p, q):

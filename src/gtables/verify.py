@@ -17,6 +17,7 @@ from math import gcd
 from . import supercochain as sc
 from .exactla import Matrix
 from .gtable import (
+    ExpandedAlgebra,
     GMatrix,
     GTable,
     check_morphism,
@@ -226,6 +227,45 @@ def _rref_dense(rows, ncols):
             if f:
                 red[k] = [a - f * b for a, b in zip(red[k], red[i])]
     return pivots, red
+
+
+def _expand_via_module(table):
+    """Reference for gtable.expand, which reads the constants off the table.
+
+    Maps each candidate image into the target module and takes coordinates
+    with the inverse of the target's basis matrix.
+    """
+    src = table.source
+    tgt = table.target
+    reg = table.registry
+    Binv = tgt.basis_matrix().inverse()
+    struct = {}
+    offsets = {}
+    pos = 0
+    for s in src.summands:
+        offsets[s.id] = pos
+        pos += s.tau.ncols
+    for r1 in src.summands:
+        m1 = reg.models[r1.irrep]
+        for r2 in src.summands:
+            m2 = reg.models[r2.irrep]
+            cell = table.cell(r1.id, r2.id)
+            if not cell:
+                continue
+            for a in range(m1.dim):
+                for b in range(m2.dim):
+                    val = [F(0)] * tgt.module.dim
+                    for (sid, q, c) in cell:
+                        m = reg.basis(r1.irrep, r2.irrep,
+                                      tgt.by_id[sid].irrep)[q - 1]
+                        w = m.matrix.col(a * m2.dim + b)
+                        img = tgt.by_id[sid].tau.matvec(w)
+                        val = [x + c * y for x, y in zip(val, img)]
+                    if any(val):
+                        coords = Binv.matvec(val)
+                        row = {k: c for k, c in enumerate(coords) if c}
+                        struct[(offsets[r1.id] + a, offsets[r2.id] + b)] = row
+    return ExpandedAlgebra(src.basis_index(), struct)
 
 
 def _bracket_peeling(a, b, pick):

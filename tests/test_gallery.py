@@ -21,6 +21,7 @@ from gtables.gallery import (
 )
 from gtables.gallery.glnfamily import SizeMismatch
 from gtables.repkit import s3_group_algebra_product
+from gtables.verify import _expand_via_module, morphism_corpus
 
 F = Fraction
 
@@ -256,6 +257,21 @@ def test_iso_archived_fixture_is_a_morphism(he_report):
     f = GMatrix(he_report.bracket_table.source, gb.source, EXPECTED_ISO)
     assert check_morphism(he_report.bracket_table, gb, f)
     assert check_morphism(he_report.cup_table, gc, f)
+
+
+def test_expand_matches_module_reference(he_report):
+    # expand reads the constants off the table; the reference maps every
+    # image into the module and back through the inverse basis matrix
+    tables = [s3_fixture().tables["table"],
+              he_report.cup_table, he_report.bracket_table,
+              *gln_tables(3, check_fixtures=False)]
+    for tA, tB, _ in morphism_corpus(cases=10, seed=7):
+        tables += [tA, tB]
+    for t in tables:
+        got, want = expand(t), _expand_via_module(t)
+        assert got.basis == want.basis
+        assert [(k, list(v.items())) for k, v in got.struct.items()] == \
+            [(k, list(v.items())) for k, v in want.struct.items()]
 
 
 def test_extract_expand_roundtrip_on_gallery_algebras(he_report):

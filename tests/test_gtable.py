@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from gtables.exactla import Matrix, scalar_from_str
-from gtables.gallery import gln_tables
+from gtables import gtable
+from gtables.gallery import gln_sl2_tables, gln_tables
 from gtables.gallery.fixtures import s3_decomposition
 from gtables.gallery.glnfamily import _coordinate_maps
 from gtables.gtable import (
@@ -206,6 +207,39 @@ def test_extract_calls_product_once_per_basis_pair():
         extract(counted, dec, reg)
         dims = [reg.models[s.irrep].dim for s in dec.summands]
         assert len(calls) == sum(d1 * d2 for d1 in dims for d2 in dims)
+
+
+def test_extract_builds_one_system_per_irrep_pair(monkeypatch):
+    gc, _ = gln_sl2_tables()
+    tp, _ = gln_tables(3, check_fixtures=False)
+    built = []
+    real = gtable._candidate_system
+
+    def counted(registry, i1, i2, target_dec):
+        built.append((i1, i2))
+        return real(registry, i1, i2, target_dec)
+
+    monkeypatch.setattr(gtable, "_candidate_system", counted)
+    product = _coordinate_maps(3)[0]
+    for t, pairs, systems in [(gc, 100, 9), (tp, 16, 4)]:
+        built.clear()
+        assert extract(product, t.source, t.registry) == t
+        assert len(t.source.summands) ** 2 == pairs
+        assert len(built) == len(set(built)) == systems
+
+
+def test_extract_inconsistent_names_the_summand_pair():
+    # (C_0, C_0) is the first (V1, V1) pair, but its bracket is zero; the
+    # first one whose cell needs the deleted (V1, V1, V2) map is (C_0, R_0)
+    _, gb = gln_sl2_tables()
+    reg = builtin_labeling("SL2")
+    v1, v2 = IrrepId("SL2", 1), IrrepId("SL2", 2)
+    assert gb.cell("C_0", "C_0") == ()
+    assert any(gb.target.by_id[s].irrep == v2 for s, _, _ in
+               gb.cell("C_0", "R_0"))
+    del reg.maps[(v1, v1, v2)]
+    with pytest.raises(InconsistentSystem, match=r"\(C_0, R_0\)"):
+        extract(_coordinate_maps(3)[1], gb.source, reg)
 
 
 def test_extract_inconsistent_when_registry_lacks_triple():

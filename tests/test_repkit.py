@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -285,6 +286,17 @@ def test_decomposition_validation_catches_bad_tau():
     bad = Summand("b", IrrepId("SL2", 0), Matrix.from_cols([(1, 0, 0)], nrows=3))
     with pytest.raises(ValueError):
         Decomposition(M, reg, [bad])
+
+
+def test_glk_module_checked_against_relations():
+    rng = random.Random(12)
+    arbitrary = {"E_%d%d" % (p, q): Matrix.from_rows(
+        [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)])
+        for p in (1, 2) for q in (1, 2)}
+    with pytest.raises(ValueError, match=r"\[E_\d\d, E_\d\d\]"):
+        GModule("GLk", 2, arbitrary)
+    adj = builtin_labeling("GLk", k=3).models[IrrepId("GL3", "adjoint")]
+    GModule("GLk", 8, adj.action)
 
 
 def test_decomposition_tau_serialization():

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+import gtables.supercochain as sc
 from gtables.exactla import Subspace
 from gtables.verify import _bracket_peeling
 from gtables.supercochain import (
     BigradedElement,
     ComplexContext,
     NotACocycle,
+    _d_matrix,
     _spaces,
     bracket,
     class_coords,
@@ -231,6 +233,27 @@ def test_d_squared_zero_on_all_monomials():
             for m in monomial_basis(3, p, q):
                 c = BigradedElement({m: F(1)})
                 assert differential(differential(c, ctx), ctx).is_zero()
+
+
+def test_d_matrix_built_once_per_bidegree(monkeypatch):
+    ctx = heisenberg_context()
+    assert _d_matrix(ctx, 1, 2) is _d_matrix(ctx, 1, 2)
+    ctx = heisenberg_context()
+    calls = []
+    real = sc.differential
+
+    def counted(c, ctx):
+        calls.append(c)
+        return real(c, ctx)
+
+    monkeypatch.setattr(sc, "differential", counted)
+    for p in range(4):
+        for q in range(4):
+            cohomology(ctx, p, q)
+    # one d per monomial of C^{p,q} with p < n, although (p, q) and (p+1, q)
+    # both need the matrix of d on C^{p,q}
+    assert len(calls) == sum(len(monomial_basis(3, p, q))
+                             for p in range(3) for q in range(4)) == 56
 
 
 def test_d_derives_vee_and_bracket():
