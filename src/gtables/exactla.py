@@ -1,10 +1,11 @@
 """Exact rational linear algebra: echelon forms, kernels, solving, quotient coordinates.
 
 All scalars are ``fractions.Fraction`` (arbitrary precision, always in lowest
-terms, positive denominator).  Elimination is fraction-free (Bareiss) on
-integer-scaled sparse rows, with a final normalization pass; pivoting always
-picks the first nonzero entry in column order, so every result is
-deterministic and canonical.  Matrices are stored as tuples of row tuples.
+terms, positive denominator).  Matrices and elimination share one storage:
+sparse rows ``{col: Fraction}`` that never store a zero.  Elimination is
+fraction-free (Bareiss) on integer-scaled sparse rows, with a final
+normalization pass; pivoting always picks the first nonzero entry in column
+order, so every result is deterministic and canonical.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-Q = Fraction
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 class AmbiguousCoordinates(Exception):
@@ -36,12 +38,13 @@ def scalar_from_str(s: str) -> Fraction:
     return Fraction(int(s))
 
 
-def _rref_sparse(rows, ncols):
-    """Reduced row echelon form of rows given and returned as {col: Fraction}.
+def rref(rows, ncols):
+    """Reduced row echelon form of sparse rows {col: scalar}.
 
-    Returns (pivot columns, reduced rows).  Forward pass is integer Bareiss on
-    rows scaled by their common denominator; normalization happens once at the
-    end.
+    Zero entries may appear in the input rows; none is stored in the output.
+    Returns (pivot columns, reduced rows as {col: Fraction}).  Forward pass is
+    integer Bareiss on rows scaled by their common denominator; normalization
+    happens once at the end.
     """
     m = []
     for row in rows:
@@ -91,7 +94,7 @@ def _rref_sparse(rows, ncols):
             if f:
                 row = dict(red[k])
                 for j, v in red[i].items():
-                    w = row.get(j, Fraction(0)) - f * v
+                    w = row.get(j, ZERO) - f * v
                     if w:
                         row[j] = w
                     else:
@@ -100,31 +103,20 @@ def _rref_sparse(rows, ncols):
     return pivots, red
 
 
-def rref(rows, ncols):
-    """Reduced echelon form; rows is an iterable of Fraction sequences.
-
-    Returns (pivot columns, reduced rows as Fraction lists).
-    """
-    srows = [{j: Fraction(x) for j, x in enumerate(r) if x} for r in rows]
-    pivots, red = _rref_sparse(srows, ncols)
-    zero = Fraction(0)
-    return pivots, [[row.get(j, zero) for j in range(ncols)] for row in red]
-
-
 class Matrix:
-    """Immutable exact matrix."""
+    """Immutable exact matrix on sparse rows {col: Fraction}; zeros are never
+    stored, so equal matrices have equal rows."""
 
     __slots__ = ("nrows", "ncols", "_rows")
 
     def __init__(self, nrows, ncols, rows):
         self.nrows = nrows
         self.ncols = ncols
-        self._rows = rows  # tuple of row tuples
+        self._rows = rows  # tuple of {col: Fraction}
 
     @staticmethod
     def from_rows(rows, ncols=None):
-        rows = [tuple(x if type(x) is Fraction else Fraction(x) for x in r)
-                for r in rows]
+        rows = [tuple(r) for r in rows]
         if ncols is None:
             if not rows:
                 raise ValueError("ncols required for an empty matrix")
@@ -132,24 +124,31 @@ class Matrix:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-        return Matrix(len(rows), ncols, tuple(rows))
+        return Matrix(len(rows), ncols, tuple(
+            {j: x if type(x) is Fraction else Fraction(x)
+             for j, x in enumerate(r) if x} for r in rows))
 
     @staticmethod
     def from_cols(cols, nrows=None):
         cols = list(cols)
         if nrows is None:
             nrows = len(cols[0])
-        rows = [[Fraction(c[i]) for c in cols] for i in range(nrows)]
-        return Matrix.from_rows(rows, ncols=len(cols))
+        rows = tuple({} for _ in range(nrows))
+        for j, c in enumerate(cols):
+            if len(c) != nrows:
+                raise ValueError("ragged columns")
+            for i, x in enumerate(c):
+                if x:
+                    rows[i][j] = x if type(x) is Fraction else Fraction(x)
+        return Matrix(nrows, len(cols), rows)
 
     @staticmethod
     def zeros(nrows, ncols):
-        return Matrix.from_rows([[Fraction(0)] * ncols for _ in range(nrows)], ncols)
+        return Matrix(nrows, ncols, tuple({} for _ in range(nrows)))
 
     @staticmethod
     def identity(n):
-        return Matrix.from_rows(
-            [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)], n)
+        return Matrix(n, n, tuple({i: ONE} for i in range(n)))
 
     @property
     def shape(self):
@@ -157,87 +156,96 @@ class Matrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self._rows[i][j]
+        if not 0 <= j < self.ncols:
+            raise IndexError("column %r out of range" % (j,))
+        return self._rows[i].get(j, ZERO)
 
     def row(self, i):
-        return self._rows[i]
+        r = self._rows[i]
+        return tuple(r.get(j, ZERO) for j in range(self.ncols))
 
     def col(self, j):
-        return tuple(self[i, j] for i in range(self.nrows))
+        return tuple(r.get(j, ZERO) for r in self._rows)
 
     def rows_list(self):
         return [list(self.row(i)) for i in range(self.nrows)]
 
     def transpose(self):
-        return Matrix.from_rows(
-            [[self[i, j] for i in range(self.nrows)] for j in range(self.ncols)],
-            self.nrows)
+        rows = tuple({} for _ in range(self.ncols))
+        for i, r in enumerate(self._rows):
+            for j, x in r.items():
+                rows[j][i] = x
+        return Matrix(self.ncols, self.nrows, rows)
 
     def matvec(self, v):
-        v = list(v)
+        v = tuple(v)
         if len(v) != self.ncols:
             raise ValueError("shape mismatch")
-        nz = [(j, y) for j, y in enumerate(v) if y]
-        if 2 * len(nz) < self.ncols:
-            out = [Fraction(0)] * self.nrows
-            for i, r in enumerate(self._rows):
-                acc = Fraction(0)
-                for j, y in nz:
-                    if r[j]:
-                        acc += r[j] * y
-                out[i] = acc
-            return tuple(out)
-        return tuple(sum((x * y for x, y in zip(r, v) if x and y), Fraction(0))
-                     for r in self._rows)
+        out = []
+        for r in self._rows:
+            acc = ZERO
+            for j, x in r.items():
+                y = v[j]
+                if y:
+                    acc += x * y
+            out.append(acc)
+        return tuple(out)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        cols = [self.matvec(other.col(j)) for j in range(other.ncols)]
-        return Matrix.from_cols(cols, nrows=self.nrows)
+        rows = []
+        for r in self._rows:
+            acc = {}
+            for t, a in r.items():
+                for j, b in other._rows[t].items():
+                    acc[j] = acc.get(j, ZERO) + a * b
+            rows.append({j: x for j, x in acc.items() if x})
+        return Matrix(self.nrows, other.ncols, tuple(rows))
 
     def __add__(self, other):
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return Matrix.from_rows(
-            [[self[i, j] + other[i, j] for j in range(self.ncols)]
-             for i in range(self.nrows)], self.ncols)
+        rows = []
+        for r, s in zip(self._rows, other._rows):
+            acc = dict(r)
+            for j, x in s.items():
+                acc[j] = acc.get(j, ZERO) + x
+            rows.append({j: x for j, x in acc.items() if x})
+        return Matrix(self.nrows, self.ncols, tuple(rows))
 
     def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def scale(self, a):
         a = Fraction(a)
-        return Matrix.from_rows(
-            [[a * self[i, j] for j in range(self.ncols)] for i in range(self.nrows)],
-            self.ncols)
+        return Matrix(self.nrows, self.ncols, tuple(
+            {j: a * x for j, x in r.items()} if a else {} for r in self._rows))
 
     def __eq__(self, other):
-        if not isinstance(other, Matrix) or self.shape != other.shape:
-            return NotImplemented if not isinstance(other, Matrix) else False
-        return all(self[i, j] == other[i, j]
-                   for i in range(self.nrows) for j in range(self.ncols))
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.shape == other.shape and self._rows == other._rows
 
     def __hash__(self):
-        return hash((self.shape, tuple(self.row(i) for i in range(self.nrows))))
+        return hash((self.shape, tuple(frozenset(r.items()) for r in self._rows)))
 
     def __repr__(self):
         return "Matrix(%d x %d)" % (self.nrows, self.ncols)
 
     def rank(self):
-        pivots, _ = rref([self.row(i) for i in range(self.nrows)], self.ncols)
-        return len(pivots)
+        return len(rref(self._rows, self.ncols)[0])
 
     def inverse(self):
         if self.nrows != self.ncols:
             raise ValueError("inverse needs a square matrix")
         n = self.nrows
-        aug = [list(self.row(i)) + [Fraction(1 if j == i else 0) for j in range(n)]
-               for i in range(n)]
-        pivots, red = rref(aug, 2 * n)
+        pivots, red = rref([{**r, n + i: ONE} for i, r in enumerate(self._rows)],
+                           2 * n)
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix.from_rows([r[n:] for r in red], n)
+        return Matrix(n, n, tuple({j - n: x for j, x in r.items() if j >= n}
+                                  for r in red))
 
 
 class Subspace:
@@ -251,8 +259,9 @@ class Subspace:
 
     def __init__(self, ambient_dim, vectors=()):
         self.ambient_dim = ambient_dim
-        pivots, red = rref(vectors, ambient_dim)
-        self.basis = tuple(tuple(r) for r in red)
+        _, red = rref([dict(enumerate(v)) for v in vectors], ambient_dim)
+        self.basis = tuple(tuple(r.get(j, ZERO) for j in range(ambient_dim))
+                           for r in red)
 
     @staticmethod
     def zero(ambient_dim):
@@ -294,15 +303,16 @@ class Subspace:
 
 def kernel(M: Matrix) -> Subspace:
     """Null space {v : Mv = 0} with canonical basis."""
-    pivots, red = rref([M.row(i) for i in range(M.nrows)], M.ncols)
+    pivots, red = rref(M._rows, M.ncols)
     pivset = set(pivots)
-    free = [c for c in range(M.ncols) if c not in pivset]
     vecs = []
-    for f in free:
-        v = [Fraction(0)] * M.ncols
-        v[f] = Fraction(1)
+    for f in range(M.ncols):
+        if f in pivset:
+            continue
+        v = [ZERO] * M.ncols
+        v[f] = ONE
         for i, c in enumerate(pivots):
-            v[c] = -red[i][f]
+            v[c] = -red[i].get(f, ZERO)
         vecs.append(v)
     return Subspace(M.ncols, vecs)
 
@@ -313,16 +323,16 @@ def solve(M: Matrix, b):
     Returns (particular solution, kernel subspace), or None when b is outside
     the column span.
     """
-    b = list(map(Fraction, b))
+    b = list(b)
     if len(b) != M.nrows:
         raise ValueError("length of b must equal row count")
-    aug = [list(M.row(i)) + [b[i]] for i in range(M.nrows)]
-    pivots, red = rref(aug, M.ncols + 1)
-    if M.ncols in pivots:
+    n = M.ncols
+    pivots, red = rref([{**r, n: y} for r, y in zip(M._rows, b)], n + 1)
+    if n in pivots:
         return None
-    x = [Fraction(0)] * M.ncols
+    x = [ZERO] * n
     for i, c in enumerate(pivots):
-        x[c] = red[i][M.ncols]
+        x[c] = red[i].get(n, ZERO)
     return tuple(x), kernel(M)
 
 
@@ -332,22 +342,20 @@ def coords_modulo(z, reps, W: Subspace):
     Returns None when z is outside span(reps) + W; raises
     AmbiguousCoordinates when the reps are dependent modulo W.
     """
-    reps = [list(map(Fraction, r)) for r in reps]
-    cols = reps + [list(r) for r in W.basis]
     n = W.ambient_dim
-    for r in reps:
-        if len(r) != n:
-            raise ValueError("ambient dimension mismatch")
-    if len(z) != n:
+    if len(z) != n or any(len(r) != n for r in reps):
         raise ValueError("ambient dimension mismatch")
+    cols = list(reps) + list(W.basis)
     if not cols:
-        return () if all(x == 0 for x in z) else None
+        return () if not any(z) else None
     # one elimination of [reps | W | z]: pivots among the first k columns do
     # not depend on z, so they certify independence before z is looked at
     k = len(cols)
-    pivots, red = rref([[c[i] for c in cols] + [z[i]] for i in range(n)], k + 1)
+    cols.append(z)
+    pivots, red = rref([{j: c[i] for j, c in enumerate(cols)} for i in range(n)],
+                       k + 1)
     if pivots[:k] != list(range(k)):
         raise AmbiguousCoordinates("representatives dependent modulo subspace")
     if len(pivots) > k:
         return None
-    return tuple(red[i][k] for i in range(len(reps)))
+    return tuple(red[i].get(k, ZERO) for i in range(len(reps)))

@@ -178,7 +178,7 @@ def _mk_module_and_product(k):
                 B = to_mat(u)
                 cols.append(to_coords(smat_sub(smat_mul(P, B), smat_mul(B, P))))
             action["E_%d%d" % (p + 1, q + 1)] = Matrix.from_cols(cols, nrows=dim)
-    module = GModule("GLk", dim, action, validate=False)
+    module = GModule("GLk", dim, action)
 
     def product(u, v):
         return to_coords(smat_mul(to_mat(u), to_mat(v)))

@@ -171,6 +171,8 @@ def _structure(n, op):
 
 def gln_axioms(n):
     """Full-basis associativity, commutativity, Jacobi and Leibniz checks."""
+    if n < 2:
+        raise ValueError("n >= 2")
     dim, P = _structure(n, gln_product)
     _, L = _structure(n, gln_bracket)
 
@@ -264,8 +266,7 @@ def _gln_module(n):
     conjugation on both slots (ad operators E_pq on coordinates)."""
     mats = {"E_%d%d" % (p + 1, q + 1): {(p, q): F(1)}
             for p in range(n) for q in range(n)}
-    return GModule("GLk", 2 * n * n, _conjugation_action(n, mats),
-                   validate=False)
+    return GModule("GLk", 2 * n * n, _conjugation_action(n, mats))
 
 
 def gln_tables(n, check_fixtures=True):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .exactla import Matrix, rref, scalar_from_str, scalar_to_str, solve
+from .exactla import Matrix, rref, scalar_from_str, scalar_to_str
 from .repkit import Decomposition, IntertwinerRegistry
 
 F = Fraction
@@ -159,7 +159,7 @@ def _solve_cells(product, dec, registry, target_dec):
             if not rows:
                 continue
             nc = len(cands)
-            pivots, red = rref([row + (lhs[ts[0]],) for row, ts in rows],
+            pivots, red = rref([{**row, nc: lhs[ts[0]]} for row, ts in rows],
                                nc + 1)
             arank = sum(1 for p in pivots if p < nc)
             if arank < nc:
@@ -170,7 +170,7 @@ def _solve_cells(product, dec, registry, target_dec):
                     "product on (%s, %s) has a component outside the "
                     "registry's reach" % (r1.id, r2.id))
             cell = [(cands[i][0], cands[i][1], red[i][nc])
-                    for i in range(nc) if red[i][nc]]
+                    for i in range(nc) if nc in red[i]]
             if cell:
                 entries[(r1.id, r2.id)] = cell
     return entries
@@ -182,8 +182,9 @@ def _candidate_system(registry, i1, i2, target_dec):
     Equation t = (a * d2 + b) * dim + k is coordinate k of the product on the
     basis pair (a, b); candidate (s, q) contributes tau_s(m_q(e_a (x) e_b)).
     Returns (candidates [(s_id, q)], equation indices whose row is zero,
-    [(distinct nonzero row, equation indices sharing it)]), rows in order of
-    first occurrence: the tensor structure repeats rows heavily.
+    [(distinct nonzero row as {candidate: Fraction}, equation indices sharing
+    it)]), rows in order of first occurrence: the tensor structure repeats
+    rows heavily.
     """
     cands = []
     cols = []
@@ -202,7 +203,8 @@ def _candidate_system(registry, i1, i2, target_dec):
             rows.setdefault(row, []).append(t)
         else:
             zero.append(t)
-    return cands, zero, list(rows.items())
+    return cands, zero, [({j: x for j, x in enumerate(row) if x}, ts)
+                         for row, ts in rows.items()]
 
 
 def _check_product_equivariance(product, module, target_module):

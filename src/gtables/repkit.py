@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
-from .exactla import Matrix, Subspace, kernel, solve
+from .exactla import ZERO, Matrix, Subspace, kernel
 
 F = Fraction
 
@@ -137,23 +137,6 @@ def _vadd(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-def generator_sample(group, action_keys):
-    """Operator names whose equivariance implies it for the whole action.
-
-    S3 is generated by (12) and (123); for GL(k) the ad operators of the
-    simple root elements E_{i,i+1}, E_{i+1,i} generate every ad(E_pq) identity
-    (derivations compose); SL2 keeps its three operators.
-    """
-    keys = list(action_keys)
-    if group == "S3":
-        return [k for k in ("(12)", "(123)") if k in keys] or keys
-    if group == "GLk":
-        simple = [k for k in keys if k.startswith("E_")
-                  and abs(int(k[2]) - int(k[3])) == 1]
-        return simple or keys
-    return keys
-
-
 # ---------------------------------------------------------------------------
 # S3 permutations
 
@@ -226,12 +209,11 @@ class GModule:
     def validate(self):
         if self.group == "SL2":
             E, H, Fm = self.action["E"], self.action["H"], self.action["F"]
-            same = lambda A, B: A == B
-            if not same(E @ Fm - Fm @ E, H):
+            if E @ Fm - Fm @ E != H:
                 raise ValueError("[E,F] != H")
-            if not same(H @ E - E @ H, E.scale(2)):
+            if H @ E - E @ H != E.scale(2):
                 raise ValueError("[H,E] != 2E")
-            if not same(H @ Fm - Fm @ H, Fm.scale(-2)):
+            if H @ Fm - Fm @ H != Fm.scale(-2):
                 raise ValueError("[H,F] != -2F")
         elif self.group == "S3":
             for a in S3_ELEMENTS:
@@ -289,16 +271,14 @@ class Decomposition:
     def validate(self):
         total = 0
         cols = []
-        ops = generator_sample(self.module.group, self.module.action)
         for s in self.summands:
             model = self.registry.models[s.irrep]
             if s.tau.shape != (self.module.dim, model.dim):
                 raise ValueError("tau shape mismatch for %s" % s.id)
             if s.tau.rank() != model.dim:
                 raise ValueError("tau not injective for %s" % s.id)
-            for op in ops:
-                A = model.action[op]
-                if self.module.action[op] @ s.tau != s.tau @ A:
+            for op, X in self.module.action.items():
+                if X @ s.tau != s.tau @ model.action[op]:
                     raise ValueError("tau not equivariant for %s at %s" % (s.id, op))
             total += model.dim
             cols.extend(s.tau.col(j) for j in range(model.dim))
@@ -439,12 +419,14 @@ def glk_basis(k):
 
 def glk_coords(A, k):
     """Coordinates of a traceless sparse matrix in the glk_basis order."""
-    if sum(A.get((i, i), F(0)) for i in range(k)) != 0:
+    diag = [A[(i, i)] for i in range(k) if (i, i) in A]
+    if sum(diag) != 0:
         raise ValueError("matrix is not traceless")
-    coords = [A.get((i, j), F(0)) for i in range(k) for j in range(k) if i != j]
-    acc = F(0)
+    coords = [A.get((i, j), ZERO) for i in range(k) for j in range(k) if i != j]
+    acc = ZERO
     for i in range(k - 1):
-        acc += A.get((i, i), F(0))
+        if (i, i) in A:
+            acc += A[(i, i)]
         coords.append(acc)
     return coords
 
@@ -458,14 +440,14 @@ def smat_mul(A, B):
     for (i, t), a in A.items():
         for j, b in rows.get(t, ()):
             key = (i, j)
-            out[key] = out.get(key, F(0)) + a * b
+            out[key] = out.get(key, ZERO) + a * b
     return {key: v for key, v in out.items() if v}
 
 
 def smat_sub(A, B):
     out = dict(A)
     for key, v in B.items():
-        w = out.get(key, F(0)) - v
+        w = out.get(key, ZERO) - v
         if w:
             out[key] = w
         else:
@@ -474,7 +456,7 @@ def smat_sub(A, B):
 
 
 def smat_trace(A, k):
-    return sum(A.get((i, i), F(0)) for i in range(k))
+    return sum(A.get((i, i), ZERO) for i in range(k))
 
 
 def _glk_labeling(k):
@@ -634,12 +616,8 @@ def sl2_summand(module, registry, weight, hwv, sid):
         cols_model.append(tuple(v))
     P = Matrix.from_cols(cols_model, nrows=model.dim)
     W = Matrix.from_cols(cols_module, nrows=module.dim)
-    # tau P = W, i.e. tau = W P^-1, column by column
-    pinv_cols = []
-    for j in range(model.dim):
-        x = solve(P, _unit(model.dim, j))
-        pinv_cols.append(x[0])
-    tau = W @ Matrix.from_cols(pinv_cols, nrows=model.dim)
+    # tau P = W
+    tau = W @ P.inverse()
     return Summand(sid, model.id, tau, hwv_weight=weight)
 
 

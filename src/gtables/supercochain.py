@@ -309,8 +309,7 @@ def _d_matrix(ctx, p, q):
         dst = monomial_basis(ctx.n, p + 1, q)
         cols = [to_coords(differential(BigradedElement({m: F(1)}), ctx), dst)
                 for m in src]
-        ctx._cache[key] = (Matrix.from_cols(cols, nrows=len(dst)) if src
-                           else Matrix.zeros(len(dst), 0))
+        ctx._cache[key] = Matrix.from_cols(cols, nrows=len(dst))
     return ctx._cache[key]
 
 
@@ -340,8 +339,8 @@ def _independent_modulo(W: Subspace, vecs):
     W's basis is independent, so each of its columns is a pivot.
     """
     cols = list(W.basis) + list(vecs)
-    pivots, _ = rref([[c[i] for c in cols] for i in range(W.ambient_dim)],
-                     len(cols))
+    pivots, _ = rref([{j: c[i] for j, c in enumerate(cols)}
+                      for i in range(W.ambient_dim)], len(cols))
     return [c - W.dim for c in pivots[W.dim:]]
 
 

@@ -54,7 +54,7 @@ def _block_module(registry, irreps):
                     rows[off + i][off + j] = A[i, j]
             off += m.dim
         action[op] = Matrix.from_rows(rows)
-    return GModule(registry.group, dim, action, validate=False)
+    return GModule(registry.group, dim, action)
 
 
 def random_galgebra(rng, registry, irrep_pool, n_summands, prefix="A"):
@@ -186,8 +186,9 @@ def _scale_to_int(row):
 def _rref_dense(rows, ncols):
     """Dense reference for exactla.rref, which eliminates on sparse rows.
 
-    Same contract: (pivot columns, reduced rows as Fraction lists).  Forward
-    pass is integer Bareiss on lists; normalization happens once at the end.
+    Takes rows as Fraction sequences and returns (pivot columns, reduced rows
+    as Fraction lists).  Forward pass is integer Bareiss on lists;
+    normalization happens once at the end.
     """
     m = [_scale_to_int(r) for r in rows]
     nrows = len(m)
@@ -327,7 +328,10 @@ def _suite_exactla():
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
         rows = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)]
                 for _ in range(nrows)]
-        if rref(rows, ncols) != _rref_dense(rows, ncols):
+        pivots, red = rref([{j: x for j, x in enumerate(r) if x} for r in rows],
+                           ncols)
+        dense = [[r.get(j, 0) for j in range(ncols)] for r in red]
+        if (pivots, dense) != _rref_dense(rows, ncols):
             ok = False
         M = Matrix.from_rows(rows, ncols)
         x = [F(rng.randint(-3, 3)) for _ in range(ncols)]

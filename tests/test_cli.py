@@ -89,6 +89,14 @@ def test_gln_check_exit_codes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n", ["0", "1", "-1"])
+def test_gln_check_rejects_n_below_2(capsys, n):
+    code, out, err = run_cli(capsys, "gln", "check", "--n", n)
+    assert code == 2
+    assert "input error" in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_extract_spec_matches_builtin_bracket(capsys, tmp_path):
     # the archived 18-dimensional spec file reproduces the built-in table
     spec = os.path.join(GOLDEN_DIR, "heisenberg_he.json")

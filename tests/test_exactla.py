@@ -109,9 +109,10 @@ def test_dense_sparse_agreement():
         rows = [[F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.6 else F(0)
                  for _ in range(ncols)] for _ in range(nrows)]
         pd, rd = _rref_dense(rows, ncols)
-        ps, rs = rref(rows, ncols)
+        ps, rs = rref([{j: x for j, x in enumerate(r) if x} for r in rows], ncols)
         assert pd == ps
-        assert rd == rs
+        assert all(type(x) is F and x for r in rs for x in r.values())
+        assert rd == [[r.get(j, 0) for j in range(ncols)] for r in rs]
 
 
 def test_large_matrix_kernel_and_solve():
@@ -163,6 +164,51 @@ def test_coords_modulo_ambiguous():
         coords_modulo((0, 1, 0), [(0, 1, 0), (1, 1, 0)], W)
 
 
+def _half_zero(rng, nrows, ncols):
+    return [[F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.5 else F(0)
+             for _ in range(ncols)] for _ in range(nrows)]
+
+
+def test_matrix_ops_match_list_arithmetic():
+    rng = random.Random(23)
+    inverted = 0
+    for _ in range(40):
+        n, m, p = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a, b, c = _half_zero(rng, n, m), _half_zero(rng, n, m), _half_zero(rng, m, p)
+        A, B, C = (Matrix.from_rows(a, m), Matrix.from_rows(b, m),
+                   Matrix.from_rows(c, p))
+        assert (A @ C).rows_list() == [
+            [sum((a[i][t] * c[t][j] for t in range(m)), F(0)) for j in range(p)]
+            for i in range(n)]
+        assert (A + B).rows_list() == [[x + y for x, y in zip(r, s)]
+                                       for r, s in zip(a, b)]
+        assert (A - B).rows_list() == [[x - y for x, y in zip(r, s)]
+                                       for r, s in zip(a, b)]
+        k = F(rng.randint(-3, 3), 2)
+        assert A.scale(k).rows_list() == [[k * x for x in r] for r in a]
+        assert A.scale(0) == Matrix.zeros(n, m) == A - A
+        assert A.transpose().rows_list() == [list(col) for col in zip(*a)]
+        v = [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(m)]
+        assert A.matvec(v) == tuple(sum((x * y for x, y in zip(r, v)), F(0))
+                                    for r in a)
+        rank = len(_rref_dense(a, m)[0])
+        assert A.rank() == rank
+        assert (A == B) == (a == b)
+        # equal matrices built along different paths compare and hash equal
+        for same in (Matrix.from_cols(list(zip(*a)), n), A + B - B):
+            assert same == A and hash(same) == hash(A)
+        if n == m and rank == n:
+            inverted += 1
+            ainv = A.inverse().rows_list()
+            assert [[sum((a[i][t] * ainv[t][j] for t in range(n)), F(0))
+                     for j in range(n)] for i in range(n)] == \
+                Matrix.identity(n).rows_list()
+        elif n == m:
+            with pytest.raises(ValueError):
+                A.inverse()
+    assert inverted >= 3
+
+
 def test_matrix_ops():
     A = Matrix.from_rows([[1, 2], [3, 4]])
     B = Matrix.from_rows([[0, 1], [1, 0]])
@@ -172,3 +218,5 @@ def test_matrix_ops():
     assert (A - A) == Matrix.zeros(2, 2)
     assert A.rank() == 2
     assert Matrix.from_cols([(1, 3), (2, 4)]) == A
+    with pytest.raises(IndexError):
+        A[0, 2]

@@ -299,6 +299,43 @@ def test_glk_module_checked_against_relations():
     GModule("GLk", 8, adj.action)
 
 
+def test_decomposition_checks_every_operator():
+    # GL(3) on K by the determinant: E_pp acts by 1, E_pq (p != q) by 0.
+    # Every root operator agrees with the trivial model; E_11 does not.
+    det = {"E_%d%d" % (p, q): Matrix.from_rows([[1 if p == q else 0]])
+           for p in (1, 2, 3) for q in (1, 2, 3)}
+    module = GModule("GLk", 1, det)
+    reg = builtin_labeling("GLk", k=3)
+    from gtables.repkit import Summand
+    s = Summand("d", IrrepId("GL3", "trivial"), Matrix.identity(1))
+    with pytest.raises(ValueError, match="not equivariant for d at E_11"):
+        Decomposition(module, reg, [s])
+
+
+def test_in_tree_modules_validated_on_load(monkeypatch):
+    from gtables.gallery.fixtures import _mk_module_and_product
+    from gtables.gallery.glnfamily import _gln_module
+    from gtables.verify import _block_module
+    validated = []
+    original = GModule.validate
+
+    def spy(self):
+        validated.append(self)
+        return original(self)
+
+    monkeypatch.setattr(GModule, "validate", spy)
+    sl2 = builtin_labeling("SL2")
+    gl3 = builtin_labeling("GLk", k=3)
+    built = [
+        _gln_module(3),
+        _mk_module_and_product(3)[1].module,
+        _block_module(sl2, [IrrepId("SL2", 1), IrrepId("SL2", 2)]),
+        _block_module(gl3, [IrrepId("GL3", "trivial"), IrrepId("GL3", "adjoint")]),
+    ]
+    for module in built:
+        assert any(m is module for m in validated), module
+
+
 def test_decomposition_tau_serialization():
     reg = builtin_labeling("SL2")
     M = heisenberg_module()
