@@ -2,6 +2,7 @@
 
 from .exactla import (
     AmbiguousCoordinates,
+    ColumnSolver,
     Matrix,
     Subspace,
     coords_modulo,

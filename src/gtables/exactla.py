@@ -6,6 +6,11 @@ sparse rows ``{col: Fraction}`` that never store a zero.  Elimination is
 fraction-free (Bareiss) on integer-scaled sparse rows, with a final
 normalization pass; pivoting always picks the first nonzero entry in column
 order, so every result is deterministic and canonical.
+
+A system with fixed independent columns and many right-hand sides is
+factored once (``ColumnSolver``): each solve multiplies by a stored inverse
+and then checks C x == z on every row, which certifies the result exactly.
+``coords_modulo`` is the one-shot form of that solver.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ ONE = Fraction(1)
 
 
 class AmbiguousCoordinates(Exception):
-    """Raised when representatives are linearly dependent modulo the subspace."""
+    """Raised when the columns of a ColumnSolver are linearly dependent; for
+    coords_modulo, when the representatives are dependent modulo the subspace."""
 
 
 def scalar_to_str(x: Fraction) -> str:
@@ -336,26 +342,62 @@ def solve(M: Matrix, b):
     return tuple(x), kernel(M)
 
 
+class ColumnSolver:
+    """C x = z for the n x k matrix C with columns ``cols``, factored once.
+
+    One elimination of [C^T | I] picks k independent rows P of C (its pivot
+    columns) and yields E with E C^T[:, P] = I, so (C[P])^{-1} = E^T.  Raises
+    AmbiguousCoordinates when the columns are dependent, before any z is seen.
+    """
+
+    __slots__ = ("n", "_inv", "_cols")
+
+    def __init__(self, cols, n):
+        cols = [tuple(c) for c in cols]
+        if any(len(c) != n for c in cols):
+            raise ValueError("every column must have length %d" % n)
+        k = len(cols)
+        pivots, red = rref([{**{i: x for i, x in enumerate(c) if x}, n + j: ONE}
+                            for j, c in enumerate(cols)], n + k)
+        if pivots and pivots[-1] >= n:
+            raise AmbiguousCoordinates("columns are linearly dependent")
+        self.n = n
+        # (P_r, row r of E) per pivot row r: x_j = sum_r E[r][j] z[P_r]
+        self._inv = [(p, {j - n: x for j, x in r.items() if j >= n})
+                     for p, r in zip(pivots, red)]
+        self._cols = [[(i, x) for i, x in enumerate(c) if x] for c in cols]
+
+    def solve(self, z):
+        """The unique x with C x = z, or None when z is outside the span.
+
+        x is read off the rows P alone; checking C x == z on every row is
+        what certifies it.
+        """
+        if len(z) != self.n:
+            raise ValueError("right-hand side must have length %d" % self.n)
+        x = [ZERO] * len(self._cols)
+        for p, e in self._inv:
+            zp = z[p]
+            if zp:
+                for j, v in e.items():
+                    x[j] += v * zp
+        y = [ZERO] * self.n
+        for col, xj in zip(self._cols, x):
+            if xj:
+                for i, c in col:
+                    y[i] += c * xj
+        return tuple(x) if y == list(z) else None
+
+
 def coords_modulo(z, reps, W: Subspace):
     """Coefficients lam with z - sum(lam_i * reps_i) in W.
 
     Returns None when z is outside span(reps) + W; raises
-    AmbiguousCoordinates when the reps are dependent modulo W.
+    AmbiguousCoordinates when the reps are dependent modulo W.  For many z
+    against the same reps and W, build the ColumnSolver over [reps | W] once.
     """
     n = W.ambient_dim
     if len(z) != n or any(len(r) != n for r in reps):
         raise ValueError("ambient dimension mismatch")
-    cols = list(reps) + list(W.basis)
-    if not cols:
-        return () if not any(z) else None
-    # one elimination of [reps | W | z]: pivots among the first k columns do
-    # not depend on z, so they certify independence before z is looked at
-    k = len(cols)
-    cols.append(z)
-    pivots, red = rref([{j: c[i] for j, c in enumerate(cols)} for i in range(n)],
-                       k + 1)
-    if pivots[:k] != list(range(k)):
-        raise AmbiguousCoordinates("representatives dependent modulo subspace")
-    if len(pivots) > k:
-        return None
-    return tuple(red[i].get(k, ZERO) for i in range(len(reps)))
+    lam = ColumnSolver(list(reps) + list(W.basis), n).solve(z)
+    return None if lam is None else lam[:len(reps)]

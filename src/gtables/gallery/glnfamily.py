@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..exactla import Matrix
+from ..exactla import ZERO, Matrix
 from ..gtable import extract
 from ..repkit import (
     Decomposition,
@@ -79,14 +79,24 @@ def _sym(A, B, n):
     return S
 
 
+def _trace_of_product(A, B):
+    """tr(AB) = sum of A_ij B_ji, without forming AB."""
+    acc = ZERO
+    for (i, j), a in A.items():
+        b = B.get((j, i))
+        if b is not None:
+            acc += a * b
+    return acc
+
+
 def gln_product(u, v):
     n = _check_sizes(u, v)
     _, a0, A0, a1, A1 = u
     _, b0, B0, b1, B1 = v
     c0 = a0 * b0
     C0 = _sadd(_sscale(a0, B0), _sscale(b0, A0))
-    c1 = a0 * b1 + a1 * b0 + smat_trace(smat_mul(A0, B1), n) \
-        + smat_trace(smat_mul(A1, B0), n)
+    c1 = a0 * b1 + a1 * b0 + _trace_of_product(A0, B1) \
+        + _trace_of_product(A1, B0)
     C1 = _sadd(_sscale(a0, B1), _sscale(b0, A1), _sym(A0, B0, n))
     return (n, c0, C0, c1, C1)
 
@@ -119,14 +129,14 @@ def _from_coords(n, sl, c):
     d = n * n - 1
     A0 = {}
     A1 = {}
-    for x, B in zip(c[1:1 + d], sl):
-        if x:
-            for key, v in B.items():
-                A0[key] = A0.get(key, F(0)) + x * v
-    for x, B in zip(c[1 + d:1 + 2 * d], sl):
-        if x:
-            for key, v in B.items():
-                A1[key] = A1.get(key, F(0)) + x * v
+    for t in range(1, 1 + 2 * d):
+        x = c[t]
+        # the zeros of a Matrix column are the shared ZERO, which an identity
+        # test skips without calling Fraction.__bool__
+        if x is not ZERO and x:
+            A = A0 if t <= d else A1
+            for key, v in sl[(t - 1) % d].items():
+                A[key] = A.get(key, ZERO) + x * v
     return (n, c[0], {k: v for k, v in A0.items() if v},
             c[-1], {k: v for k, v in A1.items() if v})
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..exactla import Matrix, coords_modulo
+from ..exactla import ColumnSolver, Matrix
 from ..gtable import GTable, extract, product_from_structure
 from ..repkit import Decomposition, GModule, builtin_labeling, sl2_summand
 from ..supercochain import (
@@ -150,7 +150,8 @@ def heisenberg_pipeline(check_fixtures=True) -> HeisenbergReport:
         by_bidegree.setdefault((p, q), []).append((sid, w, rep))
 
     orbits = {}
-    classes = {}  # bidegree -> (monomial basis, representative coords, boundary)
+    # bidegree -> (monomial basis, solver over [representatives | boundary])
+    classes = {}
     for (p, q) in EVEN_BIDEGREES:
         reps = []
         for sid, w, rep in by_bidegree[(p, q)]:
@@ -159,7 +160,9 @@ def heisenberg_pipeline(check_fixtures=True) -> HeisenbergReport:
         injected, boundary = cohomology(ctx, p, q, reps=reps)
         dims[(p, q)] = len(injected)
         basis = monomial_basis(3, p, q)
-        classes[(p, q)] = (basis, [to_coords(z, basis) for z in injected], boundary)
+        classes[(p, q)] = (basis, ColumnSolver(
+            [to_coords(z, basis) for z in injected] + list(boundary.basis),
+            len(basis)))
         for sid, w, rep in by_bidegree[(p, q)]:
             verification.append((sid, "cocycle", differential(rep, ctx).is_zero()))
             verification.append(
@@ -178,6 +181,9 @@ def heisenberg_pipeline(check_fixtures=True) -> HeisenbergReport:
         for j, elt in enumerate(orbits[sid]):
             basis_classes.append((sid, j, (p, q), elt))
     n18 = len(basis_classes)
+    positions = {pq: [] for pq in classes}  # bidegree -> its class indices
+    for idx, (_, _, pq, _) in enumerate(basis_classes):
+        positions[pq].append(idx)
 
     def project(elt):
         out = [F(0)] * n18
@@ -185,17 +191,15 @@ def heisenberg_pipeline(check_fixtures=True) -> HeisenbergReport:
             if pq not in classes:
                 raise FixtureMismatch(
                     "Heisenberg", ("?", "?", "component in odd bidegree %s" % (pq,), ""))
-            basis, reps, boundary = classes[pq]
-            coords = coords_modulo(to_coords(part, basis), reps, boundary)
+            basis, solver = classes[pq]
+            coords = solver.solve(to_coords(part, basis))
             if coords is None:
                 raise FixtureMismatch(
                     "Heisenberg", ("?", "?", "component in bidegree %s outside "
                                    "the representatives plus boundaries" % (pq,), ""))
-            k = 0
-            for idx, (sid, j, pq2, _) in enumerate(basis_classes):
-                if pq2 == pq:
-                    out[idx] = coords[k]
-                    k += 1
+            # the representatives come first; the boundary coefficients are dropped
+            for idx, c in zip(positions[pq], coords):
+                out[idx] = c
         return out
 
     action = {}

@@ -18,7 +18,13 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .exactla import Matrix, rref, scalar_from_str, scalar_to_str
+from .exactla import (
+    AmbiguousCoordinates,
+    ColumnSolver,
+    Matrix,
+    scalar_from_str,
+    scalar_to_str,
+)
 from .repkit import Decomposition, IntertwinerRegistry
 
 F = Fraction
@@ -124,21 +130,23 @@ def extract(product, dec: Decomposition, registry: IntertwinerRegistry,
 def _solve_cells(product, dec, registry, target_dec):
     """{(r1, r2): [(s, q, c), ...]} solved exactly per pair of summands.
 
-    The candidate images tau_s o m_q on every basis pair, and their
-    deduplicated equation rows, depend only on the irreps of r1 and r2, so
-    they are built once per irrep pair (``_candidate_system``); each pair of
-    summands then only evaluates the product and solves.
+    The candidate images tau_s o m_q on every basis pair, their deduplicated
+    equation rows and the solver factored over those rows depend only on the
+    registry, the target and the irreps of r1 and r2, so they are built once
+    per irrep pair (``_candidate_system``) and kept on the target
+    decomposition, where later extractions over it find them; each pair of
+    summands then only evaluates the product and back-substitutes.
     """
-    systems = {}
+    systems = target_dec._systems
     entries = {}
     for r1 in dec.summands:
         d1 = registry.models[r1.irrep].dim
         for r2 in dec.summands:
             d2 = registry.models[r2.irrep].dim
-            key = (r1.irrep, r2.irrep)
+            key = (registry, r1.irrep, r2.irrep)
             if key not in systems:
-                systems[key] = _candidate_system(registry, *key, target_dec)
-            cands, zero, rows = systems[key]
+                systems[key] = _candidate_system(*key, target_dec)
+            cands, covered, rows, solver = systems[key]
             vs = [r2.tau.col(b) for b in range(d2)]
             lhs = []
             for a in range(d1):
@@ -151,40 +159,41 @@ def _solve_cells(product, dec, registry, target_dec):
                         "product on (%s, %s) is nonzero but the registry "
                         "reaches no target summand" % (r1.id, r2.id))
                 continue
-            if any(lhs[t] for t in zero) or any(
-                    lhs[t] != lhs[ts[0]] for _, ts in rows for t in ts[1:]):
+            if any(v and t not in covered for t, v in enumerate(lhs)) or any(
+                    lhs[t] != lhs[ts[0]] for ts in rows for t in ts[1:]):
                 raise InconsistentSystem(
                     "product on (%s, %s) has a component outside the "
                     "registry's reach" % (r1.id, r2.id))
             if not rows:
                 continue
-            nc = len(cands)
-            pivots, red = rref([{**row, nc: lhs[ts[0]]} for row, ts in rows],
-                               nc + 1)
-            arank = sum(1 for p in pivots if p < nc)
-            if arank < nc:
+            if solver is None:
                 raise AmbiguousSystem(
                     "dependent candidate maps at (%s, %s)" % (r1.id, r2.id))
-            if nc in pivots:
+            x = solver.solve([lhs[ts[0]] for ts in rows])
+            if x is None:
                 raise InconsistentSystem(
                     "product on (%s, %s) has a component outside the "
                     "registry's reach" % (r1.id, r2.id))
-            cell = [(cands[i][0], cands[i][1], red[i][nc])
-                    for i in range(nc) if nc in red[i]]
+            cell = [(s, q, c) for (s, q), c in zip(cands, x) if c]
             if cell:
                 entries[(r1.id, r2.id)] = cell
     return entries
 
 
 def _candidate_system(registry, i1, i2, target_dec):
-    """Candidate maps and deduplicated equation rows for one pair of irreps.
+    """Candidate maps, deduplicated equation rows and their solver for one
+    pair of irreps.
 
     Equation t = (a * d2 + b) * dim + k is coordinate k of the product on the
     basis pair (a, b); candidate (s, q) contributes tau_s(m_q(e_a (x) e_b)).
-    Returns (candidates [(s_id, q)], equation indices whose row is zero,
-    [(distinct nonzero row as {candidate: Fraction}, equation indices sharing
-    it)]), rows in order of first occurrence: the tensor structure repeats
-    rows heavily.
+    Returns (candidates [(s_id, q)], the set of equation indices whose row is
+    nonzero, [equation indices sharing one distinct nonzero row], ColumnSolver
+    over the candidates restricted to those rows, or None when the candidates
+    are dependent there), rows in order of first occurrence: the tensor
+    structure repeats rows heavily, and most rows are zero, so the kept system
+    names only the nonzero ones.  A dependent system raises only when a
+    summand pair reaches the solve, so extraction reports the first pair that
+    needs it.
     """
     cands = []
     cols = []
@@ -196,15 +205,17 @@ def _candidate_system(registry, i1, i2, target_dec):
                 col.extend(s.tau.matvec(m.matrix.col(t)))
             cands.append((s.id, qi + 1))
             cols.append(col)
-    zero = []
     rows = {}
     for t, row in enumerate(zip(*cols)):
         if any(row):
             rows.setdefault(row, []).append(t)
-        else:
-            zero.append(t)
-    return cands, zero, [({j: x for j, x in enumerate(row) if x}, ts)
-                         for row, ts in rows.items()]
+    rows = list(rows.values())
+    try:
+        solver = ColumnSolver([[col[ts[0]] for ts in rows] for col in cols],
+                              len(rows))
+    except AmbiguousCoordinates:
+        solver = None
+    return cands, frozenset(t for ts in rows for t in ts), rows, solver
 
 
 def _check_product_equivariance(product, module, target_module):

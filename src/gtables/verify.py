@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import supercochain as sc
-from .exactla import Matrix
+from .exactla import ZERO, AmbiguousCoordinates, Matrix, rref
 from .gtable import (
     ExpandedAlgebra,
     GMatrix,
@@ -230,6 +230,28 @@ def _rref_dense(rows, ncols):
     return pivots, red
 
 
+def _coords_modulo_rref(z, reps, W):
+    """Reference for exactla.coords_modulo, which solves against a factored
+    ColumnSolver: one elimination of [reps | W | z] per call."""
+    n = W.ambient_dim
+    if len(z) != n or any(len(r) != n for r in reps):
+        raise ValueError("ambient dimension mismatch")
+    cols = list(reps) + list(W.basis)
+    if not cols:
+        return () if not any(z) else None
+    # pivots among the first k columns do not depend on z, so they certify
+    # independence before z is looked at
+    k = len(cols)
+    cols.append(z)
+    pivots, red = rref([{j: c[i] for j, c in enumerate(cols)} for i in range(n)],
+                       k + 1)
+    if pivots[:k] != list(range(k)):
+        raise AmbiguousCoordinates("representatives dependent modulo subspace")
+    if len(pivots) > k:
+        return None
+    return tuple(red[i].get(k, ZERO) for i in range(len(reps)))
+
+
 def _expand_via_module(table):
     """Reference for gtable.expand, which reads the constants off the table.
 
@@ -321,7 +343,7 @@ def _peel(I1, J1, I2, J2, pick):
 
 def _suite_exactla():
     import random as _r
-    from .exactla import rref, solve, kernel
+    from .exactla import solve, kernel
     rng = _r.Random(5)
     ok = True
     for _ in range(60):

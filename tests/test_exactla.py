@@ -5,6 +5,7 @@ import pytest
 
 from gtables.exactla import (
     AmbiguousCoordinates,
+    ColumnSolver,
     Matrix,
     Subspace,
     coords_modulo,
@@ -14,7 +15,7 @@ from gtables.exactla import (
     scalar_to_str,
     solve,
 )
-from gtables.verify import _rref_dense
+from gtables.verify import _coords_modulo_rref, _rref_dense
 
 F = Fraction
 
@@ -162,6 +163,63 @@ def test_coords_modulo_ambiguous():
     W = Subspace(3, [[1, 0, 0]])
     with pytest.raises(AmbiguousCoordinates):
         coords_modulo((0, 1, 0), [(0, 1, 0), (1, 1, 0)], W)
+
+
+def test_column_solver_edge_cases():
+    # k = 0: only z = 0 is in the span
+    empty = ColumnSolver([], 3)
+    assert empty.solve((0, 0, 0)) == ()
+    assert empty.solve((0, 1, 0)) is None
+    # dependent columns are rejected on construction, before any z
+    with pytest.raises(AmbiguousCoordinates):
+        ColumnSolver([(1, 2, 0), (F(1, 2), 1, 0)], 3)
+    with pytest.raises(AmbiguousCoordinates):
+        ColumnSolver([(0, 0)], 2)
+    solver = ColumnSolver([(1, 0, 2), (0, 1, 1)], 3)
+    assert solver.solve((0, 0, 0)) == (F(0), F(0))
+    assert solver.solve((2, -1, 3)) == (F(2), F(-1))
+    assert solver.solve((0, 0, 1)) is None
+    with pytest.raises(ValueError):
+        solver.solve((1, 0))
+
+
+def test_column_solver_matches_rref_reference():
+    # every right-hand side against one factored solver agrees with one
+    # elimination of [reps | W | z] per call
+    rng = random.Random(31)
+    seen = {"k=0": 0, "dependent": 0, "outside": 0, "zero": 0, "inside": 0}
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        W = Subspace(n, _half_zero(rng, rng.randint(0, 2), n))
+        reps = _half_zero(rng, rng.randint(0, 3), n)
+        cols = reps + [list(b) for b in W.basis]
+        zs = [[F(0)] * n, _half_zero(rng, 1, n)[0]]
+        coeffs = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in cols]
+        zs.append([sum((c * col[i] for c, col in zip(coeffs, cols)), F(0))
+                   for i in range(n)])
+        try:
+            solver = ColumnSolver(cols, n)
+        except AmbiguousCoordinates:
+            seen["dependent"] += 1
+            for z in zs:
+                with pytest.raises(AmbiguousCoordinates):
+                    _coords_modulo_rref(z, reps, W)
+            continue
+        seen["k=0"] += not cols
+        for z in zs:
+            want = _coords_modulo_rref(z, reps, W)
+            x = solver.solve(z)
+            assert (x is None) == (want is None)
+            assert coords_modulo(z, reps, W) == want
+            if x is None:
+                seen["outside"] += 1
+                continue
+            seen["zero" if not any(z) else "inside"] += 1
+            assert x[:len(reps)] == want
+            assert all(type(c) is Fraction for c in x)
+            assert [sum((c * col[i] for c, col in zip(x, cols)), F(0))
+                    for i in range(n)] == z
+    assert all(seen.values()), seen
 
 
 def _half_zero(rng, nrows, ncols):

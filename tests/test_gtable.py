@@ -209,9 +209,7 @@ def test_extract_calls_product_once_per_basis_pair():
         assert len(calls) == sum(d1 * d2 for d1 in dims for d2 in dims)
 
 
-def test_extract_builds_one_system_per_irrep_pair(monkeypatch):
-    gc, _ = gln_sl2_tables()
-    tp, _ = gln_tables(3, check_fixtures=False)
+def _count_systems(monkeypatch):
     built = []
     real = gtable._candidate_system
 
@@ -220,12 +218,33 @@ def test_extract_builds_one_system_per_irrep_pair(monkeypatch):
         return real(registry, i1, i2, target_dec)
 
     monkeypatch.setattr(gtable, "_candidate_system", counted)
-    product = _coordinate_maps(3)[0]
-    for t, pairs, systems in [(gc, 100, 9), (tp, 16, 4)]:
+    return built
+
+
+def test_extract_builds_one_system_per_irrep_pair(monkeypatch):
+    # systems live on the target decomposition, so the product and the
+    # bracket extraction over one decomposition share them
+    built = _count_systems(monkeypatch)
+    for tables, pairs, systems in [(gln_sl2_tables, 100, 9),
+                                   (lambda: gln_tables(3), 16, 4)]:
         built.clear()
-        assert extract(product, t.source, t.registry) == t
-        assert len(t.source.summands) ** 2 == pairs
+        tp, tb = tables()
+        assert tp.source is tb.source
+        assert len(tp.source.summands) ** 2 == pairs
         assert len(built) == len(set(built)) == systems
+
+
+def test_second_extract_builds_no_new_system(monkeypatch):
+    gc, gb = gln_sl2_tables()
+    built = _count_systems(monkeypatch)
+    product, brk = _coordinate_maps(3)
+    assert extract(product, gc.source, gc.registry) == gc
+    assert extract(brk, gb.source, gb.registry, op_symbol="{,}") == gb
+    assert built == []
+    # another registry object is another key, even with the same labeling
+    reg = builtin_labeling("SL2")
+    assert extract(product, gc.source, reg).entries == gc.entries
+    assert len(built) == 9
 
 
 def test_extract_inconsistent_names_the_summand_pair():
