@@ -16,7 +16,7 @@ and then checks C x == z on every row, which certifies the result exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -54,10 +54,9 @@ def rref(rows, ncols):
     """
     m = []
     for row in rows:
-        den = 1
-        for x in row.values():
-            den = den * x.denominator // gcd(den, x.denominator)
-        m.append({j: int(x * den) for j, x in row.items() if x})
+        den = lcm(*[x.denominator for x in row.values()])
+        m.append({j: x.numerator * (den // x.denominator)
+                  for j, x in row.items() if x})
     nrows = len(m)
     pivots = []
     prev = 1
@@ -272,6 +271,17 @@ class Subspace:
     @staticmethod
     def zero(ambient_dim):
         return Subspace(ambient_dim)
+
+    @staticmethod
+    def from_echelon(ambient_dim, rows):
+        """Subspace whose reduced echelon basis is already known: sparse rows
+        {col: Fraction} in order of their leading column.  No elimination
+        runs, so the caller guarantees the form."""
+        S = Subspace.__new__(Subspace)
+        S.ambient_dim = ambient_dim
+        S.basis = tuple(tuple(r.get(j, ZERO) for j in range(ambient_dim))
+                        for r in rows)
+        return S
 
     @property
     def dim(self):

@@ -19,6 +19,7 @@ import json
 from fractions import Fraction
 
 from .exactla import (
+    ZERO,
     AmbiguousCoordinates,
     ColumnSolver,
     Matrix,
@@ -239,18 +240,22 @@ def _check_product_equivariance(product, module, target_module):
 
 def product_from_structure(n, triples):
     """Bilinear map from sparse structure constants [(i, j, k, c), ...]."""
-    table = {}
+    table = {}  # i -> j -> [(k, c)]
     for i, j, k, c in triples:
-        table.setdefault((i, j), []).append((k, F(c)))
+        c = F(c)
+        if c:
+            table.setdefault(i, {}).setdefault(j, []).append((k, c))
 
     def product(u, v):
-        out = [F(0)] * n
+        out = [ZERO] * n
         for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
+            if a and i in table:
+                for j, kc in table[i].items():
+                    b = v[j]
                     if b:
-                        for k, c in table.get((i, j), ()):
-                            out[k] += a * b * c
+                        ab = a * b
+                        for k, c in kc:
+                            out[k] += ab * c
         return tuple(out)
 
     return product

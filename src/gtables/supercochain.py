@@ -12,14 +12,27 @@ closed form it is the odd-Poisson formula
 over the degree-one generators g and their partners g* (xi_i <-> e_i), with a
 right derivative on a and a left derivative on b.  The tests compare it with
 the biderivation extension computed by peeling one factor at a time.
+
+Cohomology is computed one weight block at a time.  The diagonal derivations
+e_i -> w_i e_i of g (w_i + w_j = w_k for every term xi_i xi_j (x) e_k of mu)
+form a torus, and xi_I (x) e_J has weight sum w_J - sum w_I under it.  mu has
+weight 0, so d = {mu, -} maps each weight space of C^{p,q} into the one of
+C^{p+1,q} with the same weight.  Kernels, boundaries and the choice of
+representatives are taken per block and merged by leading monomial index:
+the reduced echelon basis of a direct sum is the union of the blocks' bases,
+so the result is the one the whole bidegree would give
+(``verify._cohomology_unblocked`` is that reference).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import comb, lcm
 
 from .exactla import (
+    ONE,
+    ZERO,
     Matrix,
     Subspace,
     coords_modulo,
@@ -264,21 +277,27 @@ def sl2_act(op, c: BigradedElement, ctx: ComplexContext) -> BigradedElement:
     """Derivation extension of the g-action (duals carry minus transpose)."""
     X = ctx.sl2[op]
     Xd = ctx.dual_action(op)
-    out = BigradedElement()
+    out = {}
     for (I, J), coef in c.terms.items():
+        # replacing one index keeps the other tuple canonical, so only the
+        # replaced one needs sorting
         for t, i in enumerate(I):
             for a in range(ctx.n):
                 x = Xd[a, i]
                 if x:
-                    out = out + BigradedElement.monomial(
-                        I[:t] + (a,) + I[t + 1:], J, coef * x)
+                    st = _sort_tuple(I[:t] + (a,) + I[t + 1:])
+                    if st is not None:
+                        key = (st[1], J)
+                        out[key] = out.get(key, ZERO) + st[0] * coef * x
         for t, j in enumerate(J):
             for b in range(ctx.n):
                 x = X[b, j]
                 if x:
-                    out = out + BigradedElement.monomial(
-                        I, J[:t] + (b,) + J[t + 1:], coef * x)
-    return out
+                    st = _sort_tuple(J[:t] + (b,) + J[t + 1:])
+                    if st is not None:
+                        key = (I, st[1])
+                        out[key] = out.get(key, ZERO) + st[0] * coef * x
+    return BigradedElement(out)
 
 
 # ---------------------------------------------------------------------------
@@ -301,47 +320,150 @@ def from_coords(v, basis):
     return BigradedElement({m: F(c) for m, c in zip(basis, v) if c})
 
 
-def _d_matrix(ctx, p, q):
-    """Matrix of d: C^{p,q} -> C^{p+1,q} on the monomial bases, memoized."""
+def _weights(ctx):
+    """Weight of each e_i under a basis of the diagonal derivations of g, as
+    a tuple of integers; memoized.
+
+    e_i -> w_i e_i is a derivation iff w_i + w_j = w_k for every term
+    xi_i xi_j (x) e_k of mu, so the w are the kernel of those constraint rows
+    (a term with i = k leaves e_j alone), each basis vector scaled to integers.
+    """
+    if "weights" not in ctx._cache:
+        rows = []
+        for (i, j), (k,) in ctx.mu.terms:
+            row = {i: 1, j: 1}  # i < j
+            row[k] = row.get(k, 0) - 1
+            rows.append({a: F(x) for a, x in row.items() if x})
+        torus = []
+        for w in kernel(Matrix(len(rows), ctx.n, tuple(rows))).basis:
+            den = lcm(*[x.denominator for x in w])
+            torus.append([x.numerator * (den // x.denominator) for x in w])
+        ctx._cache["weights"] = [tuple(w[i] for w in torus)
+                                 for i in range(ctx.n)]
+    return ctx._cache["weights"]
+
+
+def _by_weight(ctx, p, q):
+    """Indices into monomial_basis(n, p, q) grouped by the weight
+    sum w_J - sum w_I of their monomials, increasing within each block.
+
+    A weight w is keyed by the integer sum_r w[r] * 2^(shift * r).  That
+    packing is linear, and one-to-one on monomial weights: each component is
+    a sum of at most 2n components of the w_i, so below 2^(shift - 1) in
+    absolute value.
+    """
+    w = _weights(ctx)
+    shift = (2 * ctx.n * max((abs(x) for v in w for x in v), default=0)
+             ).bit_length() + 1
+    packed = [sum(x << (shift * r) for r, x in enumerate(v)) for v in w]
+    sums = [[sum(packed[i] for i in c) for c in combinations(range(ctx.n), k)]
+            for k in (p, q)]
+    blocks = {}
+    # I outer and J inner, in the order of monomial_basis
+    for t, (wI, wJ) in enumerate(product(*sums)):
+        blocks.setdefault(wJ - wI, []).append(t)
+    return blocks
+
+
+def _d_images(ctx, p, q):
+    """d of each monomial of C^{p,q}, as {index into C^{p+1,q}: Fraction};
+    memoized, so that C^{p,q} (its cocycles) and C^{p+1,q} (its boundaries)
+    share one computation per monomial."""
     key = ("d", p, q)
     if key not in ctx._cache:
-        src = monomial_basis(ctx.n, p, q)
-        dst = monomial_basis(ctx.n, p + 1, q)
-        cols = [to_coords(differential(BigradedElement({m: F(1)}), ctx), dst)
-                for m in src]
-        ctx._cache[key] = Matrix.from_cols(cols, nrows=len(dst))
+        index = {m: i for i, m in enumerate(monomial_basis(ctx.n, p + 1, q))}
+        ctx._cache[key] = [
+            {index[k]: c for k, c in
+             differential(BigradedElement({m: ONE}), ctx).terms.items()}
+            for m in monomial_basis(ctx.n, p, q)]
+    return ctx._cache[key]
+
+
+def _blocks(ctx, p, q):
+    """(boundary rows, cocycle rows) of each weight block of C^{p,q}.
+
+    d preserves weight, so the cocycles of a block are the kernel of d from it
+    to the block of C^{p+1,q} of the same weight, and its boundaries are
+    spanned by the images of that block of C^{p-1,q}.  Rows are the block's
+    reduced echelon basis as sparse {monomial index: Fraction}.  Every image
+    is read, also where the other bidegree has no block of that weight: a
+    term outside the block of its weight would raise KeyError.
+    """
+    blocks = _by_weight(ctx, p, q)
+    boundary = {}
+    if p >= 1:
+        images = _d_images(ctx, p - 1, q)
+        for w, src in _by_weight(ctx, p - 1, q).items():
+            index = blocks.get(w, [])
+            local = {t: s for s, t in enumerate(index)}
+            rows = [{local[t]: c for t, c in images[u].items()} for u in src]
+            if index:
+                _, red = rref(rows, len(index))
+                boundary[w] = [{index[s]: x for s, x in r.items()} for r in red]
+    above = {}
+    if p < ctx.n:
+        images = _d_images(ctx, p, q)
+        above = _by_weight(ctx, p + 1, q)
+    out = []
+    for w, index in blocks.items():
+        rows = {t: {} for t in above.get(w, ())}
+        if p < ctx.n:
+            for s, u in enumerate(index):
+                for t, c in images[u].items():
+                    rows[t][s] = c
+        if rows:
+            Z = kernel(Matrix(len(rows), len(index), tuple(rows.values())))
+            Z = [{index[s]: x for s, x in enumerate(v) if x} for v in Z.basis]
+        else:  # nothing of weight w in C^{p+1,q}: d is zero on the block
+            Z = [{t: ONE} for t in index]
+        out.append((boundary.get(w, []), Z))
+    return out
+
+
+def _graded(ctx, p, q):
+    """(cocycles, boundary, rows of the default representatives) of C^{p,q},
+    memoized, from the weight blocks.
+
+    The echelon basis of a direct sum is the union of the blocks' bases in
+    order of leading index.  Independence modulo boundaries splits by block
+    as well, since the vectors are homogeneous, so the representatives are
+    chosen block by block; a block without boundaries keeps its whole
+    (independent) cocycle basis.
+    """
+    key = (p, q)
+    if key not in ctx._cache:
+        dim = comb(ctx.n, p) * comb(ctx.n, q)
+        blocks = _blocks(ctx, p, q)
+        chosen = [Z[t] for B, Z in blocks
+                  for t in (_independent_modulo(B, Z) if B and Z
+                            else range(len(Z)))]
+        ctx._cache[key] = (
+            Subspace.from_echelon(dim, sorted((r for _, Z in blocks for r in Z),
+                                              key=min)),
+            Subspace.from_echelon(dim, sorted((r for B, _ in blocks for r in B),
+                                              key=min)),
+            sorted(chosen, key=min))
     return ctx._cache[key]
 
 
 def _spaces(ctx, p, q):
-    key = (p, q)
-    if key not in ctx._cache:
-        src = monomial_basis(ctx.n, p, q)
-        if p + 1 <= ctx.n:
-            cocycles = kernel(_d_matrix(ctx, p, q))
-        else:
-            cocycles = Subspace(len(src), [tuple(F(1 if i == t else 0)
-                                                 for i in range(len(src)))
-                                           for t in range(len(src))])
-        if p >= 1:
-            D = _d_matrix(ctx, p - 1, q)
-            boundary = Subspace(len(src), [D.col(j) for j in range(D.ncols)])
-        else:
-            boundary = Subspace.zero(len(src))
-        ctx._cache[key] = (cocycles, boundary)
-    return ctx._cache[key]
+    """(cocycles, boundary) of C^{p,q}."""
+    return _graded(ctx, p, q)[:2]
 
 
-def _independent_modulo(W: Subspace, vecs):
-    """Indices of the vectors outside W + span(the vectors before them).
+def _independent_modulo(W, vecs):
+    """Indices of the vectors outside span(W) + span(the vectors before them).
 
-    These are the pivot columns past W's of the column matrix [W | vecs]:
-    W's basis is independent, so each of its columns is a pivot.
+    Vectors are sparse {index: scalar}.  These are the pivot columns past W's
+    of the column matrix [W | vecs]: W is independent, so each of its columns
+    is a pivot.  Zero rows and the order of rows do not move the pivots.
     """
-    cols = list(W.basis) + list(vecs)
-    pivots, _ = rref([{j: c[i] for j, c in enumerate(cols)}
-                      for i in range(W.ambient_dim)], len(cols))
-    return [c - W.dim for c in pivots[W.dim:]]
+    rows = {}
+    for j, c in enumerate(list(W) + list(vecs)):
+        for i, x in c.items():
+            rows.setdefault(i, {})[j] = x
+    pivots, _ = rref(list(rows.values()), len(W) + len(vecs))
+    return [c - len(W) for c in pivots[len(W):]]
 
 
 def cohomology(ctx: ComplexContext, p, q, reps=None):
@@ -353,7 +475,7 @@ def cohomology(ctx: ComplexContext, p, q, reps=None):
     boundaries, and of the right count).
     """
     basis = monomial_basis(ctx.n, p, q)
-    cocycles, boundary = _spaces(ctx, p, q)
+    cocycles, boundary, chosen = _graded(ctx, p, q)
     betti = cocycles.dim - boundary.dim
     if reps is not None:
         if len(reps) != betti:
@@ -366,12 +488,12 @@ def cohomology(ctx: ComplexContext, p, q, reps=None):
             v = to_coords(z, basis)
             if not cocycles.contains(v):
                 raise NotACocycle("representative outside the cocycle space")
-            vecs.append(v)
-        if len(_independent_modulo(boundary, vecs)) != len(vecs):
+            vecs.append({i: x for i, x in enumerate(v) if x})
+        W = [{i: x for i, x in enumerate(b) if x} for b in boundary.basis]
+        if len(_independent_modulo(W, vecs)) != len(vecs):
             raise ValueError("representatives dependent modulo boundaries")
         return list(reps), boundary
-    out = [from_coords(cocycles.basis[t], basis)
-           for t in _independent_modulo(boundary, cocycles.basis)]
+    out = [BigradedElement({basis[i]: c for i, c in r.items()}) for r in chosen]
     assert len(out) == betti
     return out, boundary
 

@@ -55,6 +55,32 @@ def heisenberg_bracket_product():
     return product_from_structure(3, [(0, 1, 2, 1), (1, 0, 2, -1)])
 
 
+def test_product_from_structure_matches_dense_loop():
+    # seeded sparse structures with repeated (i, j, k) triples and zero
+    # coefficients, against the bilinear map summed over every (i, j, k)
+    rng = random.Random(2718)
+    coeffs = [F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 4)]
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(n),
+                    rng.choice(coeffs)) for _ in range(rng.randint(0, 3 * n))]
+        if triples:
+            triples += [triples[0], triples[-1][:3] + (F(0),)]
+        const = {}
+        for i, j, k, c in triples:
+            const[(i, j, k)] = const.get((i, j, k), F(0)) + c
+        product = product_from_structure(n, triples)
+        for _ in range(5):
+            u = [rng.choice(coeffs) for _ in range(n)]
+            v = [rng.choice(coeffs) for _ in range(n)]
+            want = tuple(sum((u[i] * v[j] * const.get((i, j, k), 0)
+                              for i in range(n) for j in range(n)), F(0))
+                         for k in range(n))
+            got = product(u, v)
+            assert got == want
+            assert all(type(x) is Fraction for x in got)
+
+
 def test_heisenberg_lie_table():
     reg, dec = heisenberg_dec()
     t = extract(heisenberg_bracket_product(), dec, reg, op_symbol="[,]")

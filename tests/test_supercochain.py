@@ -4,14 +4,15 @@ from fractions import Fraction
 import pytest
 
 import gtables.supercochain as sc
-from gtables.exactla import Subspace
-from gtables.verify import _bracket_peeling
+from gtables.exactla import Matrix, Subspace
+from gtables.verify import _bracket_peeling, cohomology_mismatches
 from gtables.supercochain import (
     BigradedElement,
     ComplexContext,
     NotACocycle,
-    _d_matrix,
+    _d_images,
     _spaces,
+    _weights,
     bracket,
     class_coords,
     cohomology,
@@ -237,7 +238,7 @@ def test_d_squared_zero_on_all_monomials():
 
 def test_d_matrix_built_once_per_bidegree(monkeypatch):
     ctx = heisenberg_context()
-    assert _d_matrix(ctx, 1, 2) is _d_matrix(ctx, 1, 2)
+    assert _d_images(ctx, 1, 2)[0] is _d_images(ctx, 1, 2)[0]
     ctx = heisenberg_context()
     calls = []
     real = sc.differential
@@ -251,7 +252,7 @@ def test_d_matrix_built_once_per_bidegree(monkeypatch):
         for q in range(4):
             cohomology(ctx, p, q)
     # one d per monomial of C^{p,q} with p < n, although (p, q) and (p+1, q)
-    # both need the matrix of d on C^{p,q}
+    # both need the image of each monomial of C^{p,q}
     assert len(calls) == sum(len(monomial_basis(3, p, q))
                              for p in range(3) for q in range(4)) == 56
 
@@ -280,6 +281,24 @@ def test_sl2_action_commutes_with_d():
                     c = BigradedElement({m: F(1)})
                     assert sl2_act(op, differential(c, ctx), ctx) == \
                         differential(sl2_act(op, c, ctx), ctx)
+
+
+def test_sl2_act_derivation_and_sl2_relations():
+    ctx = heisenberg_context()
+    rng = random.Random(110)
+
+    def act(op, a):
+        return sl2_act(op, a, ctx)
+
+    for _ in range(40):
+        a = rand_homogeneous(rng, 3, *rand_bidegree(rng, 3))
+        b = rand_homogeneous(rng, 3, *rand_bidegree(rng, 3))
+        for op in ("E", "H", "F"):
+            # even derivation of vee
+            assert act(op, vee(a, b)) == vee(act(op, a), b) + vee(a, act(op, b))
+        assert act("E", act("F", a)) - act("F", act("E", a)) == act("H", a)
+        assert act("H", act("E", a)) - act("E", act("H", a)) == act("E", a).scale(2)
+        assert act("H", act("F", a)) - act("F", act("H", a)) == act("F", a).scale(-2)
 
 
 # -- cohomology ---------------------------------------------------------------
@@ -376,6 +395,38 @@ def test_cohomology_selection_matches_incremental_loop():
                     acc = Subspace(len(basis), list(acc.basis) + [v])
             reps, _ = cohomology(ctx, p, q)
             assert [to_coords(z, basis) for z in reps] == expected, (p, q)
+
+
+# (dim, brackets, rank of the torus of diagonal derivations)
+GRADED_ALGEBRAS = {
+    "h3": (3, {(0, 1): {2: 1}}, 2),
+    "h5": (5, {(0, 1): {4: 1}, (2, 3): {4: 1}}, 3),
+    "sl2xK2": (5, {(0, 1): {0: -2}, (0, 2): {1: 1}, (1, 2): {2: -2},
+                   (0, 4): {3: 1}, (1, 3): {3: 1}, (1, 4): {4: -1},
+                   (2, 3): {4: 1}}, 2),
+    "abelian K^3": (3, {}, 3),
+    "so3": (3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}}, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(GRADED_ALGEBRAS))
+def test_weights_grade_mu(name):
+    n, brackets, rank = GRADED_ALGEBRAS[name]
+    w = _weights(ComplexContext.from_brackets(n, brackets))
+    assert len(w) == n and all(len(x) == rank for x in w)
+    assert all(type(c) is int for x in w for c in x)
+    # one independent weight function per basis derivation
+    assert Matrix.from_rows(w, rank).rank() == rank
+    for (i, j), img in brackets.items():
+        for k in img:
+            assert tuple(a + b for a, b in zip(w[i], w[j])) == w[k]
+
+
+@pytest.mark.parametrize("name", list(GRADED_ALGEBRAS))
+def test_blocked_cohomology_matches_unblocked_reference(name):
+    # representatives, cocycle bases and boundary bases on every (p, q)
+    n, brackets, _ = GRADED_ALGEBRAS[name]
+    assert cohomology_mismatches(ComplexContext.from_brackets(n, brackets)) == []
 
 
 def test_rendering():
