@@ -1,11 +1,12 @@
 """Exact rational linear algebra: echelon forms, kernels, solving, quotient coordinates.
 
 All scalars are ``fractions.Fraction`` (arbitrary precision, always in lowest
-terms, positive denominator).  Matrices and elimination share one storage:
-sparse rows ``{col: Fraction}`` that never store a zero.  Elimination is
-fraction-free (Bareiss) on integer-scaled sparse rows, with a final
-normalization pass; pivoting always picks the first nonzero entry in column
-order, so every result is deterministic and canonical.
+terms, positive denominator).  Matrices, subspaces and elimination share one
+storage: sparse rows ``{col: Fraction}`` that never store a zero; dense
+vectors are built only on request (``Matrix.row``, ``Subspace.basis``).
+Elimination is fraction-free (Bareiss) on integer-scaled sparse rows, with a
+final normalization pass; pivoting always picks the first nonzero entry in
+column order, so every result is deterministic and canonical.
 
 A system with fixed independent columns and many right-hand sides is
 factored once (``ColumnSolver``): each solve multiplies by a stored inverse
@@ -254,19 +255,25 @@ class Matrix:
 
 
 class Subspace:
-    """Subspace of Q^n with a canonical reduced-echelon basis.
+    """Subspace of Q^n with a canonical reduced-echelon basis, stored as the
+    sparse rows ``rref`` returns: ``rows``, a tuple of {col: Fraction} in order
+    of leading column (``min(row)``) that never holds a zero.  ``basis`` is the
+    dense view, built on request.
 
-    Two subspaces are equal iff their stored bases are identical, which holds
-    whenever they have the same span.
+    Two subspaces are equal iff their rows are equal, which holds whenever
+    they have the same span.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "rows")
 
     def __init__(self, ambient_dim, vectors=()):
+        rows = []
+        for v in vectors:
+            if len(v) != ambient_dim:
+                raise ValueError("every vector must have length %d" % ambient_dim)
+            rows.append(dict(enumerate(v)))
         self.ambient_dim = ambient_dim
-        _, red = rref([dict(enumerate(v)) for v in vectors], ambient_dim)
-        self.basis = tuple(tuple(r.get(j, ZERO) for j in range(ambient_dim))
-                           for r in red)
+        self.rows = tuple(rref(rows, ambient_dim)[1])
 
     @staticmethod
     def zero(ambient_dim):
@@ -275,43 +282,51 @@ class Subspace:
     @staticmethod
     def from_echelon(ambient_dim, rows):
         """Subspace whose reduced echelon basis is already known: sparse rows
-        {col: Fraction} in order of their leading column.  No elimination
-        runs, so the caller guarantees the form."""
+        {col: Fraction} without zeros, in order of their leading column.  No
+        elimination runs, so the caller guarantees the form."""
         S = Subspace.__new__(Subspace)
         S.ambient_dim = ambient_dim
-        S.basis = tuple(tuple(r.get(j, ZERO) for j in range(ambient_dim))
-                        for r in rows)
+        S.rows = tuple(rows)
         return S
 
     @property
+    def basis(self):
+        n = self.ambient_dim
+        return tuple(tuple(r.get(j, ZERO) for j in range(n)) for r in self.rows)
+
+    @property
     def dim(self):
-        return len(self.basis)
+        return len(self.rows)
 
     def contains(self, v):
-        return all(x == 0 for x in self.reduce(v))
+        return not any(self.reduce(v))
 
     def reduce(self, v):
         """Residual of v after eliminating the pivot coordinates of the basis."""
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector must have length %d" % self.ambient_dim)
         v = list(map(Fraction, v))
-        for row in self.basis:
-            lead = next(j for j, x in enumerate(row) if x)
-            f = v[lead]
+        for row in self.rows:
+            f = v[min(row)]
             if f:
-                v = [a - f * b for a, b in zip(v, row)]
+                for j, x in row.items():
+                    v[j] -= f * x
         return tuple(v)
 
     def add(self, other):
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return Subspace(self.ambient_dim, list(self.basis) + list(other.basis))
+        return Subspace.from_echelon(
+            self.ambient_dim, rref(self.rows + other.rows, self.ambient_dim)[1])
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim,
+                     tuple(frozenset(r.items()) for r in self.rows)))
 
     def __repr__(self):
         return "Subspace(dim %d of Q^%d)" % (self.dim, self.ambient_dim)
@@ -325,12 +340,13 @@ def kernel(M: Matrix) -> Subspace:
     for f in range(M.ncols):
         if f in pivset:
             continue
-        v = [ZERO] * M.ncols
-        v[f] = ONE
+        v = {f: ONE}
         for i, c in enumerate(pivots):
-            v[c] = -red[i].get(f, ZERO)
+            x = red[i].get(f)
+            if x:
+                v[c] = -x
         vecs.append(v)
-    return Subspace(M.ncols, vecs)
+    return Subspace.from_echelon(M.ncols, rref(vecs, M.ncols)[1])
 
 
 def solve(M: Matrix, b):

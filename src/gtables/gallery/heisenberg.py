@@ -139,7 +139,7 @@ def _orbit(ctx, elt, weight):
     return out
 
 
-def heisenberg_pipeline(check_fixtures=True) -> HeisenbergReport:
+def heisenberg_pipeline() -> HeisenbergReport:
     ctx = heisenberg_context()
     reg = builtin_labeling("SL2")
 
@@ -236,18 +236,16 @@ def heisenberg_pipeline(check_fixtures=True) -> HeisenbergReport:
 
     cup_table = extract(cup, dec, reg, op_symbol="v")
     bracket_table = extract(brk, dec, reg, op_symbol="{,}")
-    if check_fixtures:
-        compare("Heisenberg cup table", cup_table,
-                expected_table(dec, reg, CUP_TABLE, "v"))
-        compare("Heisenberg bracket table", bracket_table,
-                expected_table(dec, reg, BRACKET_TABLE, "{,}"))
-        if total != 18:
-            raise FixtureMismatch("Heisenberg",
-                                  ("total", "dim", str(total), "18"))
-        for pq, d in EXPECTED_DIMS.items():
-            if dims[pq] != d:
-                raise FixtureMismatch(
-                    "Heisenberg", (str(pq), "dim", str(dims[pq]), str(d)))
+    compare("Heisenberg cup table", cup_table,
+            expected_table(dec, reg, CUP_TABLE, "v"))
+    compare("Heisenberg bracket table", bracket_table,
+            expected_table(dec, reg, BRACKET_TABLE, "{,}"))
+    if total != 18:
+        raise FixtureMismatch("Heisenberg", ("total", "dim", str(total), "18"))
+    for pq, d in EXPECTED_DIMS.items():
+        if dims[pq] != d:
+            raise FixtureMismatch(
+                "Heisenberg", (str(pq), "dim", str(dims[pq]), str(d)))
 
     return HeisenbergReport(
         dims=dims,

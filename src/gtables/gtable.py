@@ -26,7 +26,7 @@ from .exactla import (
     scalar_from_str,
     scalar_to_str,
 )
-from .repkit import Decomposition, IntertwinerRegistry
+from .repkit import Decomposition, IntertwinerRegistry, _unit
 
 F = Fraction
 
@@ -53,12 +53,6 @@ class ShapeMismatch(GTableError):
 
 class MissingChoice(GTableError):
     pass
-
-
-def _unit(n, i):
-    v = [F(0)] * n
-    v[i] = F(1)
-    return tuple(v)
 
 
 class GTable:

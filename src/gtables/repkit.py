@@ -595,7 +595,7 @@ def highest_weight_vectors(M: GModule):
             % (found, M.dim))
     out = []
     for n in sorted((w for w in spaces if w >= 0), reverse=True):
-        B = Matrix.from_cols([list(b) for b in spaces[n].basis], nrows=M.dim)
+        B = Matrix(spaces[n].dim, M.dim, spaces[n].rows).transpose()
         EK = kernel(E @ B)
         if EK.dim:
             vecs = [B.matvec(c) for c in EK.basis]

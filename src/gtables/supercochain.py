@@ -214,8 +214,7 @@ class ComplexContext:
     is exactly the Jacobi identity for the encoded bracket (and gives d^2 = 0).
     """
 
-    def __init__(self, n, mu, gnames=None, gstar_names=None, sl2=None,
-                 validate=True):
+    def __init__(self, n, mu, gnames=None, gstar_names=None, sl2=None):
         self.n = n
         self.mu = mu
         self.gnames = gnames or ["e%d" % i for i in range(n)]
@@ -223,15 +222,13 @@ class ComplexContext:
         self.sl2 = sl2
         self._dual = None
         self._cache = {}
-        if validate:
-            if any(len(I) != 2 or len(J) != 1 for (I, J) in mu.terms):
-                raise ValueError("mu must be homogeneous of bidegree (2,1)")
-            if not bracket(mu, mu).is_zero():
-                raise ValueError("{mu,mu} != 0: structure constants violate Jacobi")
+        if any(len(I) != 2 or len(J) != 1 for (I, J) in mu.terms):
+            raise ValueError("mu must be homogeneous of bidegree (2,1)")
+        if not bracket(mu, mu).is_zero():
+            raise ValueError("{mu,mu} != 0: structure constants violate Jacobi")
 
     @staticmethod
-    def from_brackets(n, brackets, gnames=None, gstar_names=None, sl2=None,
-                      validate=True):
+    def from_brackets(n, brackets, gnames=None, gstar_names=None, sl2=None):
         """mu = sum_{i<j} xi_i xi_j (x) [e_i, e_j] from {(i,j): {k: c}}."""
         terms = {}
         for (i, j), img in brackets.items():
@@ -240,8 +237,7 @@ class ComplexContext:
             for k, c in img.items():
                 key = ((i, j), (k,))
                 terms[key] = terms.get(key, F(0)) + F(c)
-        return ComplexContext(n, BigradedElement(terms), gnames, gstar_names,
-                              sl2, validate)
+        return ComplexContext(n, BigradedElement(terms), gnames, gstar_names, sl2)
 
     def dual_action(self, op):
         if self._dual is None:
@@ -309,10 +305,18 @@ def monomial_basis(n, p, q):
 
 
 def to_coords(elt: BigradedElement, basis):
+    """Coordinates of elt in basis, a monomial_basis; ValueError names a term
+    outside it."""
     index = {m: i for i, m in enumerate(basis)}
     v = [F(0)] * len(basis)
     for key, c in elt.terms.items():
-        v[index[key]] = c
+        i = index.get(key)
+        if i is None:
+            where = ("bidegree (%d, %d)" % tuple(map(len, basis[0])) if basis
+                     else "an empty bidegree")
+            raise ValueError("monomial %r is outside the basis of %s"
+                             % (key, where))
+        v[i] = c
     return tuple(v)
 
 
@@ -335,10 +339,11 @@ def _weights(ctx):
             row[k] = row.get(k, 0) - 1
             rows.append({a: F(x) for a, x in row.items() if x})
         torus = []
-        for w in kernel(Matrix(len(rows), ctx.n, tuple(rows))).basis:
-            den = lcm(*[x.denominator for x in w])
-            torus.append([x.numerator * (den // x.denominator) for x in w])
-        ctx._cache["weights"] = [tuple(w[i] for w in torus)
+        for w in kernel(Matrix(len(rows), ctx.n, tuple(rows))).rows:
+            den = lcm(*[x.denominator for x in w.values()])
+            torus.append({i: x.numerator * (den // x.denominator)
+                          for i, x in w.items()})
+        ctx._cache["weights"] = [tuple(w.get(i, 0) for w in torus)
                                  for i in range(ctx.n)]
     return ctx._cache["weights"]
 
@@ -413,7 +418,7 @@ def _blocks(ctx, p, q):
                     rows[t][s] = c
         if rows:
             Z = kernel(Matrix(len(rows), len(index), tuple(rows.values())))
-            Z = [{index[s]: x for s, x in enumerate(v) if x} for v in Z.basis]
+            Z = [{index[s]: x for s, x in r.items()} for r in Z.rows]
         else:  # nothing of weight w in C^{p+1,q}: d is zero on the block
             Z = [{t: ONE} for t in index]
         out.append((boundary.get(w, []), Z))
@@ -489,8 +494,7 @@ def cohomology(ctx: ComplexContext, p, q, reps=None):
             if not cocycles.contains(v):
                 raise NotACocycle("representative outside the cocycle space")
             vecs.append({i: x for i, x in enumerate(v) if x})
-        W = [{i: x for i, x in enumerate(b) if x} for b in boundary.basis]
-        if len(_independent_modulo(W, vecs)) != len(vecs):
+        if len(_independent_modulo(boundary.rows, vecs)) != len(vecs):
             raise ValueError("representatives dependent modulo boundaries")
         return list(reps), boundary
     out = [BigradedElement({basis[i]: c for i, c in r.items()}) for r in chosen]

@@ -367,10 +367,11 @@ def _cohomology_unblocked(ctx, p, q):
     else:
         boundary = Subspace.zero(n)
     # pivot columns of [boundary | cocycles] past the boundary's
-    cols = list(boundary.basis) + list(cocycles.basis)
+    Z = cocycles.basis
+    cols = list(boundary.basis) + list(Z)
     pivots, _ = rref([{j: c[i] for j, c in enumerate(cols)} for i in range(n)],
                      len(cols))
-    reps = [sc.from_coords(cocycles.basis[t - boundary.dim], basis)
+    reps = [sc.from_coords(Z[t - boundary.dim], basis)
             for t in pivots[boundary.dim:]]
     return reps, cocycles, boundary
 

@@ -235,7 +235,7 @@ def test_criterion_10_roundtrips(golden):
     t0 = time.perf_counter()
     rep = heisenberg_pipeline()
     gc, gb = gln_sl2_tables(3)
-    gp3, gb3 = gln_tables(3, check_fixtures=False)
+    gp3, gb3 = gln_tables(3)
     s3 = s3_fixture()
     mk = mk_fixture(3)
     sl3 = sl3_fixture()

@@ -102,6 +102,85 @@ def test_subspace_canonical_across_generating_sets():
         assert W1.basis == W2.basis
 
 
+def test_subspace_rejects_vectors_of_the_wrong_length():
+    for vecs in ([[0, 0, 1]], [[1, 0, 5]], [[1]]):
+        with pytest.raises(ValueError, match="length 2"):
+            Subspace(2, vecs)
+    W = Subspace(3, [[1, 0, 0]])
+    for v in [(1, 2), (1, 2, 3, 4)]:
+        with pytest.raises(ValueError, match="length 3"):
+            W.reduce(v)
+        with pytest.raises(ValueError, match="length 3"):
+            W.contains(v)
+
+
+def _kernel_dense(rows, n):
+    """Canonical null space basis from the dense reference elimination."""
+    pivots, red = _rref_dense(rows, n)
+    null = []
+    for f in range(n):
+        if f not in pivots:
+            v = [F(0)] * n
+            v[f] = F(1)
+            for r, c in zip(red, pivots):
+                v[c] = -r[f]
+            null.append(v)
+    return tuple(tuple(r) for r in _rref_dense(null, n)[1])
+
+
+def _reduce_dense(v, basis):
+    v = [F(x) for x in v]
+    for row in basis:
+        f = v[next(j for j, x in enumerate(row) if x)]
+        v = [a - f * b for a, b in zip(v, row)]
+    return tuple(v)
+
+
+def test_subspace_sparse_rows_match_dense_reference():
+    rng = random.Random(43)
+    shapes = set()
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        vecs = _half_zero(rng, rng.randint(0, 6), n)
+        pivots, red = _rref_dense(vecs, n)
+        want = tuple(tuple(r) for r in red)
+        W = Subspace(n, vecs)
+        spaces = [W, Subspace.from_echelon(
+            n, rref([dict(enumerate(v)) for v in vecs], n)[1])]
+        if vecs:
+            M = Matrix.from_rows(vecs, n)
+            K = kernel(M)
+            assert K.basis == _kernel_dense(vecs, n)
+            assert all(not any(M.matvec(v)) for v in K.basis)
+            spaces.append(K)
+        for S in spaces:
+            assert all(type(x) is F and x for r in S.rows for x in r.values())
+            assert [min(r) for r in S.rows] == sorted(min(r) for r in S.rows)
+        for S in spaces[:2]:
+            assert S.basis == want and S.dim == len(pivots)
+            assert [min(r) for r in S.rows] == pivots
+        # the same span, rows built in other dict orders or from other
+        # generators, compares and hashes equal
+        shuffled = []
+        for r in W.rows:
+            items = list(r.items())
+            rng.shuffle(items)
+            shuffled.append(dict(items))
+        for same in (Subspace.from_echelon(n, shuffled),
+                     Subspace(n, vecs[::-1] + vecs), W.add(Subspace.zero(n))):
+            assert same == W and hash(same) == hash(W)
+        coeffs = [F(rng.randint(-2, 2)) for _ in vecs]
+        inside = [sum((c * v[j] for c, v in zip(coeffs, vecs)), F(0))
+                  for j in range(n)]
+        for z in (inside, _half_zero(rng, 1, n)[0]):
+            res = _reduce_dense(z, want)
+            assert W.reduce(z) == res
+            assert W.contains(z) == (not any(res))
+            shapes.add(not any(res))
+        assert W.contains(inside)
+    assert shapes == {True, False}
+
+
 def test_dense_sparse_agreement():
     rng = random.Random(13)
     for _ in range(25):

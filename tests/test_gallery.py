@@ -264,7 +264,7 @@ def test_expand_matches_module_reference(he_report):
     # image into the module and back through the inverse basis matrix
     tables = [s3_fixture().tables["table"],
               he_report.cup_table, he_report.bracket_table,
-              *gln_tables(3, check_fixtures=False)]
+              *gln_tables(3)]
     for tA, tB, _ in morphism_corpus(cases=10, seed=7):
         tables += [tA, tB]
     for t in tables:
@@ -278,7 +278,7 @@ def test_extract_expand_roundtrip_on_gallery_algebras(he_report):
     # expanded structure constants agree with the defining products
     from gtables.gallery.glnfamily import _coordinate_maps
     _, brk = _coordinate_maps(3)
-    tp, tb = gln_tables(3, check_fixtures=False)
+    tp, tb = gln_tables(3)
     E = expand(tb)
     B = tb.source.basis_matrix()
     Binv = B.inverse()

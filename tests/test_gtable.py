@@ -219,7 +219,7 @@ def test_extract_not_equivariant_s3():
 
 def test_extract_calls_product_once_per_basis_pair():
     # a solved table certifies equivariance, so no check adds product calls
-    tp, _ = gln_tables(3, check_fixtures=False)
+    tp, _ = gln_tables(3)
     h_reg, h_dec = heisenberg_dec()
     cases = [(heisenberg_bracket_product(), h_dec, h_reg),
              (_coordinate_maps(3)[0], tp.source, tp.registry)]

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -323,6 +324,21 @@ def test_class_coords_basics():
     z = reps[0] + dw
     assert class_coords(z, reps, boundary, ctx) == \
         tuple(F(1 if i == 0 else 0) for i in range(4))
+
+
+def test_terms_outside_the_basis_are_named():
+    ctx = heisenberg_context()
+    e2 = M((), (2,))  # closed, of bidegree (0, 1)
+    assert differential(e2, ctx).is_zero()
+    msg = "%r is outside the basis of bidegree (1, 0)"
+    with pytest.raises(ValueError, match=re.escape(msg % (((), (2,)),))):
+        cohomology(ctx, 1, 0, reps=[e2, e2])
+    reps, boundary = cohomology(ctx, 1, 0)
+    xi01 = M((0, 1), ())  # closed, of bidegree (2, 0)
+    with pytest.raises(ValueError, match=re.escape(msg % (((0, 1), ()),))):
+        class_coords(xi01, reps, boundary, ctx)
+    with pytest.raises(ValueError, match="empty bidegree"):
+        to_coords(e2, monomial_basis(3, 4, 1))
 
 
 def test_class_coords_rejects_non_cocycle():
