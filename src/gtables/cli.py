@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .exactla import Matrix, scalar_from_str, scalar_to_str
 from .gtable import (
@@ -28,8 +27,6 @@ from .repkit import (
     decompose_s3,
     decompose_sl2,
 )
-
-F = Fraction
 
 SPEC_SCHEMA_HELP = """\
 algebra spec file (JSON):

@@ -1,12 +1,16 @@
 """Exact rational linear algebra: echelon forms, kernels, solving, quotient coordinates.
 
-All scalars are ``fractions.Fraction`` (arbitrary precision, always in lowest
-terms, positive denominator).  Matrices, subspaces and elimination share one
-storage: sparse rows ``{col: Fraction}`` that never store a zero; dense
-vectors are built only on request (``Matrix.row``, ``Subspace.basis``).
-Elimination is fraction-free (Bareiss) on integer-scaled sparse rows, with a
-final normalization pass; pivoting always picks the first nonzero entry in
-column order, so every result is deterministic and canonical.
+Every stored scalar is canonical: an ``int`` when it is integral, otherwise a
+``fractions.Fraction`` in lowest terms with denominator > 1, and never a
+``float`` or a ``bool``.  ``canon`` is the one normalizer and rejects anything
+else; ``div`` is the one exact division, since ``int / int`` is the only way a
+float can get in.  Matrices, subspaces and elimination share one storage:
+sparse rows ``{col: scalar}`` that never store a zero; dense vectors are built
+only on request (``Matrix.row``, ``Subspace.basis``).  Elimination is
+fraction-free (Bareiss) on integer-scaled sparse rows, back substitution stays
+in integers, and each stored entry is divided by its pivot once at the end;
+pivoting always picks the first nonzero entry in column order, so every
+result is deterministic and canonical.
 
 A system with fixed independent columns and many right-hand sides is
 factored once (``ColumnSolver``): each solve multiplies by a stored inverse
@@ -17,10 +21,7 @@ and then checks C x == z on every row, which certifies the result exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from math import gcd, lcm
 
 
 class AmbiguousCoordinates(Exception):
@@ -28,30 +29,54 @@ class AmbiguousCoordinates(Exception):
     coords_modulo, when the representatives are dependent modulo the subspace."""
 
 
-def scalar_to_str(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
+def canon(x):
+    """The canonical form of an exact scalar: x as an int when it is
+    integral, else as a Fraction.  Raises TypeError on anything that is not
+    an int or a Fraction, so a float or a bool never becomes a scalar."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    raise TypeError("exact scalar expected (int or Fraction), got %s %r"
+                    % (type(x).__name__, x))
+
+
+def div(a, b):
+    """The exact quotient a / b of two scalars, canonical.  This is the one
+    true division of the package: ``int / int`` would give a float."""
+    a, b = canon(a), canon(b)
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return canon(Fraction(a) / b)
+
+
+def scalar_to_str(x) -> str:
+    x = canon(x)
+    if type(x) is int:
+        return str(x)
     return "%d/%d" % (x.numerator, x.denominator)
 
 
-def scalar_from_str(s: str) -> Fraction:
+def scalar_from_str(s: str):
     if "/" in s:
         num, den = s.split("/")
         den = int(den)
         if not den:
             raise ValueError("zero denominator in %r" % s)
-        return Fraction(int(num), den)
-    return Fraction(int(s))
+        return div(int(num), den)
+    return int(s)
 
 
 def rref(rows, ncols):
     """Reduced row echelon form of sparse rows {col: scalar}.
 
     Zero entries may appear in the input rows; none is stored in the output.
-    Returns (pivot columns, reduced rows as {col: Fraction}).  Forward pass is
-    integer Bareiss on rows scaled by their common denominator; normalization
-    happens once at the end.
+    Returns (pivot columns, reduced rows as {col: scalar}, canonical).  The
+    forward pass is integer Bareiss on rows scaled by their common
+    denominator; back substitution clears the pivot columns in integers,
+    keeping each row primitive, and each stored entry is divided by its
+    row's pivot once at the end.
     """
     m = []
     for row in rows:
@@ -90,35 +115,43 @@ def rref(rows, ncols):
         prev = piv
         pivots.append(c)
         r += 1
-    red = [{j: Fraction(v) for j, v in m[i].items()} for i in range(len(pivots))]
-    for i in range(len(pivots) - 1, -1, -1):
+    for i in range(r - 1, 0, -1):
         c = pivots[i]
-        piv = red[i][c]
-        red[i] = {j: v / piv for j, v in red[i].items()}
+        mi = m[i]
+        piv = mi[c]
         for k in range(i):
-            f = red[k].get(c, 0)
+            f = m[k].get(c)
             if f:
-                row = dict(red[k])
-                for j, v in red[i].items():
-                    w = row.get(j, ZERO) - f * v
+                # row k := (piv * row k - f * row i) / g, which clears column c
+                g = gcd(piv, f)
+                a = piv // g
+                b = f // g
+                row = {j: v * a for j, v in m[k].items()}
+                for j, v in mi.items():
+                    w = row.get(j, 0) - b * v
                     if w:
                         row[j] = w
                     else:
-                        row.pop(j, None)
-                red[k] = row
+                        del row[j]
+                g = gcd(*row.values())
+                m[k] = {j: v // g for j, v in row.items()} if g != 1 else row
+    red = []
+    for i, c in enumerate(pivots):
+        piv = m[i][c]
+        red.append(m[i] if piv == 1 else {j: div(v, piv) for j, v in m[i].items()})
     return pivots, red
 
 
 class Matrix:
-    """Immutable exact matrix on sparse rows {col: Fraction}; zeros are never
-    stored, so equal matrices have equal rows."""
+    """Immutable exact matrix on sparse rows {col: scalar} of canonical
+    scalars; zeros are never stored, so equal matrices have equal rows."""
 
     __slots__ = ("nrows", "ncols", "_rows")
 
     def __init__(self, nrows, ncols, rows):
         self.nrows = nrows
         self.ncols = ncols
-        self._rows = rows  # tuple of {col: Fraction}
+        self._rows = rows  # tuple of {col: scalar}, canonical
 
     @staticmethod
     def from_rows(rows, ncols=None):
@@ -131,8 +164,7 @@ class Matrix:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
         return Matrix(len(rows), ncols, tuple(
-            {j: x if type(x) is Fraction else Fraction(x)
-             for j, x in enumerate(r) if x} for r in rows))
+            {j: x for j, x in enumerate(map(canon, r)) if x} for r in rows))
 
     @staticmethod
     def from_cols(cols, nrows=None):
@@ -143,9 +175,9 @@ class Matrix:
         for j, c in enumerate(cols):
             if len(c) != nrows:
                 raise ValueError("ragged columns")
-            for i, x in enumerate(c):
+            for i, x in enumerate(map(canon, c)):
                 if x:
-                    rows[i][j] = x if type(x) is Fraction else Fraction(x)
+                    rows[i][j] = x
         return Matrix(nrows, len(cols), rows)
 
     @staticmethod
@@ -154,7 +186,7 @@ class Matrix:
 
     @staticmethod
     def identity(n):
-        return Matrix(n, n, tuple({i: ONE} for i in range(n)))
+        return Matrix(n, n, tuple({i: 1} for i in range(n)))
 
     @property
     def shape(self):
@@ -164,14 +196,14 @@ class Matrix:
         i, j = ij
         if not 0 <= j < self.ncols:
             raise IndexError("column %r out of range" % (j,))
-        return self._rows[i].get(j, ZERO)
+        return self._rows[i].get(j, 0)
 
     def row(self, i):
         r = self._rows[i]
-        return tuple(r.get(j, ZERO) for j in range(self.ncols))
+        return tuple(r.get(j, 0) for j in range(self.ncols))
 
     def col(self, j):
-        return tuple(r.get(j, ZERO) for r in self._rows)
+        return tuple(r.get(j, 0) for r in self._rows)
 
     def rows_list(self):
         return [list(self.row(i)) for i in range(self.nrows)]
@@ -189,12 +221,12 @@ class Matrix:
             raise ValueError("shape mismatch")
         out = []
         for r in self._rows:
-            acc = ZERO
+            acc = 0
             for j, x in r.items():
                 y = v[j]
                 if y:
                     acc += x * y
-            out.append(acc)
+            out.append(canon(acc))
         return tuple(out)
 
     def __matmul__(self, other):
@@ -205,8 +237,8 @@ class Matrix:
             acc = {}
             for t, a in r.items():
                 for j, b in other._rows[t].items():
-                    acc[j] = acc.get(j, ZERO) + a * b
-            rows.append({j: x for j, x in acc.items() if x})
+                    acc[j] = acc.get(j, 0) + a * b
+            rows.append({j: canon(x) for j, x in acc.items() if x})
         return Matrix(self.nrows, other.ncols, tuple(rows))
 
     def __add__(self, other):
@@ -216,17 +248,18 @@ class Matrix:
         for r, s in zip(self._rows, other._rows):
             acc = dict(r)
             for j, x in s.items():
-                acc[j] = acc.get(j, ZERO) + x
-            rows.append({j: x for j, x in acc.items() if x})
+                acc[j] = acc.get(j, 0) + x
+            rows.append({j: canon(x) for j, x in acc.items() if x})
         return Matrix(self.nrows, self.ncols, tuple(rows))
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, a):
-        a = Fraction(a)
+        a = canon(a)
         return Matrix(self.nrows, self.ncols, tuple(
-            {j: a * x for j, x in r.items()} if a else {} for r in self._rows))
+            {j: canon(a * x) for j, x in r.items()} if a else {}
+            for r in self._rows))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -246,7 +279,7 @@ class Matrix:
         if self.nrows != self.ncols:
             raise ValueError("inverse needs a square matrix")
         n = self.nrows
-        pivots, red = rref([{**r, n + i: ONE} for i, r in enumerate(self._rows)],
+        pivots, red = rref([{**r, n + i: 1} for i, r in enumerate(self._rows)],
                            2 * n)
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
@@ -256,7 +289,7 @@ class Matrix:
 
 class Subspace:
     """Subspace of Q^n with a canonical reduced-echelon basis, stored as the
-    sparse rows ``rref`` returns: ``rows``, a tuple of {col: Fraction} in order
+    sparse rows ``rref`` returns: ``rows``, a tuple of {col: scalar} in order
     of leading column (``min(row)``) that never holds a zero.  ``basis`` is the
     dense view, built on request.
 
@@ -271,7 +304,7 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError("every vector must have length %d" % ambient_dim)
-            rows.append(dict(enumerate(v)))
+            rows.append(dict(enumerate(map(canon, v))))
         self.ambient_dim = ambient_dim
         self.rows = tuple(rref(rows, ambient_dim)[1])
 
@@ -282,7 +315,7 @@ class Subspace:
     @staticmethod
     def from_echelon(ambient_dim, rows):
         """Subspace whose reduced echelon basis is already known: sparse rows
-        {col: Fraction} without zeros, in order of their leading column.  No
+        {col: scalar} without zeros, in order of their leading column.  No
         elimination runs, so the caller guarantees the form."""
         S = Subspace.__new__(Subspace)
         S.ambient_dim = ambient_dim
@@ -292,7 +325,7 @@ class Subspace:
     @property
     def basis(self):
         n = self.ambient_dim
-        return tuple(tuple(r.get(j, ZERO) for j in range(n)) for r in self.rows)
+        return tuple(tuple(r.get(j, 0) for j in range(n)) for r in self.rows)
 
     @property
     def dim(self):
@@ -305,13 +338,13 @@ class Subspace:
         """Residual of v after eliminating the pivot coordinates of the basis."""
         if len(v) != self.ambient_dim:
             raise ValueError("vector must have length %d" % self.ambient_dim)
-        v = list(map(Fraction, v))
+        v = list(map(canon, v))
         for row in self.rows:
             f = v[min(row)]
             if f:
                 for j, x in row.items():
                     v[j] -= f * x
-        return tuple(v)
+        return tuple(map(canon, v))
 
     def add(self, other):
         if self.ambient_dim != other.ambient_dim:
@@ -340,7 +373,7 @@ def kernel(M: Matrix) -> Subspace:
     for f in range(M.ncols):
         if f in pivset:
             continue
-        v = {f: ONE}
+        v = {f: 1}
         for i, c in enumerate(pivots):
             x = red[i].get(f)
             if x:
@@ -362,36 +395,36 @@ def solve(M: Matrix, b):
     pivots, red = rref([{**r, n: y} for r, y in zip(M._rows, b)], n + 1)
     if n in pivots:
         return None
-    x = [ZERO] * n
+    x = [0] * n
     for i, c in enumerate(pivots):
-        x[c] = red[i].get(n, ZERO)
+        x[c] = red[i].get(n, 0)
     return tuple(x), kernel(M)
 
 
 class ColumnSolver:
     """C x = z for the n x k matrix C with columns ``cols``, factored once.
 
-    One elimination of [C^T | I] picks k independent rows P of C (its pivot
-    columns) and yields E with E C^T[:, P] = I, so (C[P])^{-1} = E^T.  Raises
-    AmbiguousCoordinates when the columns are dependent, before any z is seen.
+    Each column is sparse, {row index: scalar}.  One elimination of
+    [C^T | I] picks k independent rows P of C (its pivot columns) and yields
+    E with E C^T[:, P] = I, so (C[P])^{-1} = E^T.  Raises AmbiguousCoordinates
+    when the columns are dependent, before any z is seen.
     """
 
     __slots__ = ("n", "_inv", "_cols")
 
     def __init__(self, cols, n):
-        cols = [tuple(c) for c in cols]
-        if any(len(c) != n for c in cols):
-            raise ValueError("every column must have length %d" % n)
+        cols = [{i: x for i, x in c.items() if x} for c in cols]
+        if any(not 0 <= i < n for c in cols for i in c):
+            raise ValueError("every row index must be in range(%d)" % n)
         k = len(cols)
-        pivots, red = rref([{**{i: x for i, x in enumerate(c) if x}, n + j: ONE}
-                            for j, c in enumerate(cols)], n + k)
+        pivots, red = rref([{**c, n + j: 1} for j, c in enumerate(cols)], n + k)
         if pivots and pivots[-1] >= n:
             raise AmbiguousCoordinates("columns are linearly dependent")
         self.n = n
         # (P_r, row r of E) per pivot row r: x_j = sum_r E[r][j] z[P_r]
         self._inv = [(p, {j - n: x for j, x in r.items() if j >= n})
                      for p, r in zip(pivots, red)]
-        self._cols = [[(i, x) for i, x in enumerate(c) if x] for c in cols]
+        self._cols = [list(c.items()) for c in cols]
 
     def solve(self, z):
         """The unique x with C x = z, or None when z is outside the span.
@@ -401,18 +434,18 @@ class ColumnSolver:
         """
         if len(z) != self.n:
             raise ValueError("right-hand side must have length %d" % self.n)
-        x = [ZERO] * len(self._cols)
+        x = [0] * len(self._cols)
         for p, e in self._inv:
             zp = z[p]
             if zp:
                 for j, v in e.items():
                     x[j] += v * zp
-        y = [ZERO] * self.n
+        y = [0] * self.n
         for col, xj in zip(self._cols, x):
             if xj:
                 for i, c in col:
                     y[i] += c * xj
-        return tuple(x) if y == list(z) else None
+        return tuple(map(canon, x)) if y == list(z) else None
 
 
 def coords_modulo(z, reps, W: Subspace):
@@ -425,5 +458,6 @@ def coords_modulo(z, reps, W: Subspace):
     n = W.ambient_dim
     if len(z) != n or any(len(r) != n for r in reps):
         raise ValueError("ambient dimension mismatch")
-    lam = ColumnSolver(list(reps) + list(W.basis), n).solve(z)
+    cols = [{i: x for i, x in enumerate(r) if x} for r in reps]
+    lam = ColumnSolver(cols + list(W.rows), n).solve(z)
     return None if lam is None else lam[:len(reps)]

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..exactla import Matrix, scalar_from_str
+from ..exactla import Matrix, div, scalar_from_str
 from ..gtable import GTable, cotable, extract
 from ..repkit import (
     Decomposition,
@@ -115,9 +115,9 @@ def s3_decomposition():
         ("1_1", "tr", [[sixth] * 6]),
         ("1_2", "tr", [[sixth, -sixth, -sixth, -sixth, sixth, sixth]]),
         ("1_3", "tr", [[F(2, 3), 0, 0, 0, F(-1, 3), F(-1, 3)]]),
-        ("s_sg", "sg", [[0, 0, 0, 0, F(1), F(-1)]]),
-        ("A_std", "std", [[0, F(1), F(-1), 0, 0, 0],
-                          [0, F(1), 0, F(-1), 0, 0]]),
+        ("s_sg", "sg", [[0, 0, 0, 0, 1, -1]]),
+        ("A_std", "std", [[0, 1, -1, 0, 0, 0],
+                          [0, 1, 0, -1, 0, 0]]),
     ]
     dec = decompose_s3(M, reg, generators=generators)
     return reg, dec
@@ -129,7 +129,7 @@ def s3_fixture() -> FixtureReport:
     reg, dec = s3_decomposition()
     table = extract(s3_group_algebra_product(), dec, reg)
     compare("K[S3] table", table, expected_table(dec, reg, S3_TABLE))
-    delta = {i: [(i, i, F(1))] for i in range(6)}
+    delta = {i: [(i, i, 1)] for i in range(6)}
     cot = cotable(delta, dec, reg)
     compare("K[S3] cotable", cot, expected_table(dec, reg, S3_COTABLE))
     diag = lambda u, v: tuple(a * b for a, b in zip(u, v))
@@ -143,7 +143,7 @@ def s3_fixture() -> FixtureReport:
 def _mk_module_and_product(k):
     reg = builtin_labeling("GLk", k=k)
     basis, _ = glk_basis(k)
-    ident = {(i, i): F(1) for i in range(k)}
+    ident = {(i, i): 1 for i in range(k)}
     full = [ident] + basis  # coordinates: (identity component, sl(k) components)
     dim = k * k
 
@@ -152,15 +152,15 @@ def _mk_module_and_product(k):
         for c, B in zip(u, full):
             if c:
                 for key, v in B.items():
-                    out[key] = out.get(key, F(0)) + c * v
+                    out[key] = out.get(key, 0) + c * v
         return {key: v for key, v in out.items() if v}
 
     def to_coords(A):
         tr = smat_trace(A, k)
-        scalar = tr / k
+        scalar = div(tr, k)
         T = dict(A)
         for i in range(k):
-            w = T.get((i, i), F(0)) - scalar
+            w = T.get((i, i), 0) - scalar
             if w:
                 T[(i, i)] = w
             else:
@@ -170,11 +170,11 @@ def _mk_module_and_product(k):
     action = {}
     for p in range(k):
         for q in range(k):
-            P = {(p, q): F(1)}
+            P = {(p, q): 1}
             cols = []
             for b in range(dim):
-                u = [F(0)] * dim
-                u[b] = F(1)
+                u = [0] * dim
+                u[b] = 1
                 B = to_mat(u)
                 cols.append(to_coords(smat_sub(smat_mul(P, B), smat_mul(B, P))))
             action["E_%d%d" % (p + 1, q + 1)] = Matrix.from_cols(cols, nrows=dim)
@@ -184,11 +184,11 @@ def _mk_module_and_product(k):
         return to_coords(smat_mul(to_mat(u), to_mat(v)))
 
     gk = "GL%d" % k
-    tau0 = Matrix.from_cols([[F(1)] + [F(0)] * (dim - 1)], nrows=dim)
+    tau0 = Matrix.from_cols([[1] + [0] * (dim - 1)], nrows=dim)
     tau1_cols = []
     for i in range(dim - 1):
-        col = [F(0)] * dim
-        col[1 + i] = F(1)
+        col = [0] * dim
+        col[1 + i] = 1
         tau1_cols.append(col)
     dec = Decomposition(module, reg, [
         Summand("A_0", IrrepId(gk, "trivial"), tau0),
@@ -250,8 +250,7 @@ def sl3_fixture() -> FixtureReport:
     reg = builtin_labeling("SL2")
     basis, names = glk_basis(3)
     dim = 8
-    embed = {"E": {(0, 1): F(1)}, "H": {(0, 0): F(1), (1, 1): F(-1)},
-             "F": {(1, 0): F(1)}}
+    embed = {"E": {(0, 1): 1}, "H": {(0, 0): 1, (1, 1): -1}, "F": {(1, 0): 1}}
     action = {}
     for op, P in embed.items():
         cols = [glk_coords(smat_sub(smat_mul(P, B), smat_mul(B, P)), 3)
@@ -264,7 +263,7 @@ def sl3_fixture() -> FixtureReport:
         for c, B in zip(u, basis):
             if c:
                 for key, v in B.items():
-                    out[key] = out.get(key, F(0)) + c * v
+                    out[key] = out.get(key, 0) + c * v
         return out
 
     def lie(u, v):
@@ -273,10 +272,10 @@ def sl3_fixture() -> FixtureReport:
 
     coords = lambda A: glk_coords(A, 3)
     hwvs = [
-        ("V_0", 0, coords({(0, 0): F(1), (1, 1): F(1), (2, 2): F(-2)})),
-        ("V_2", 2, coords({(0, 1): F(1)})),
-        ("V_1", 1, coords({(0, 2): F(1)})),
-        ("V_1'", 1, coords({(2, 1): F(-1)})),
+        ("V_0", 0, coords({(0, 0): 1, (1, 1): 1, (2, 2): -2})),
+        ("V_2", 2, coords({(0, 1): 1})),
+        ("V_1", 1, coords({(0, 2): 1})),
+        ("V_1'", 1, coords({(2, 1): -1})),
     ]
     dec = decompose_sl2(module, reg, hwvs=hwvs)
     table = extract(lie, dec, reg, op_symbol="[,]")
@@ -301,7 +300,7 @@ def poly_fixture(max_degree) -> FixtureReport:
         pos += r + 1
     action = {}
     for op in ("E", "H", "F"):
-        rows = [[F(0)] * dim for _ in range(dim)]
+        rows = [[0] * dim for _ in range(dim)]
         for r in range(D + 1):
             A = reg.models[IrrepId("SL2", r)].action[op]
             for i in range(r + 1):
@@ -311,7 +310,7 @@ def poly_fixture(max_degree) -> FixtureReport:
     module = GModule("SL2", dim, action)
 
     def product(u, v):
-        out = [F(0)] * dim
+        out = [0] * dim
         for r1 in range(D + 1):
             for i in range(r1 + 1):
                 a = u[offs[r1] + i]
@@ -326,8 +325,8 @@ def poly_fixture(max_degree) -> FixtureReport:
 
     hwvs = []
     for r in range(D + 1):
-        v = [F(0)] * dim
-        v[offs[r]] = F(1)
+        v = [0] * dim
+        v[offs[r]] = 1
         hwvs.append(("A_%d" % r, r, v))
     dec = decompose_sl2(module, reg, hwvs=hwvs)
     table = extract(product, dec, reg)

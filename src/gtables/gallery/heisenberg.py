@@ -9,7 +9,6 @@ match the fixed 10x10 tables cell for cell (zeros included).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from ..exactla import ColumnSolver, Matrix
 from ..gtable import GTable, extract, product_from_structure
@@ -27,7 +26,6 @@ from ..supercochain import (
 )
 from .fixtures import FixtureMismatch, compare, expected_table
 
-F = Fraction
 M = BigradedElement.monomial
 
 # fixed highest weight representatives per even bidegree, in table order;
@@ -160,9 +158,10 @@ def heisenberg_pipeline() -> HeisenbergReport:
         injected, boundary = cohomology(ctx, p, q, reps=reps)
         dims[(p, q)] = len(injected)
         basis = monomial_basis(3, p, q)
+        index = {m: i for i, m in enumerate(basis)}
         classes[(p, q)] = (basis, ColumnSolver(
-            [to_coords(z, basis) for z in injected] + list(boundary.basis),
-            len(basis)))
+            [{index[m]: c for m, c in z.terms.items()} for z in injected]
+            + list(boundary.rows), len(basis)))
         for sid, w, rep in by_bidegree[(p, q)]:
             verification.append((sid, "cocycle", differential(rep, ctx).is_zero()))
             verification.append(
@@ -186,7 +185,7 @@ def heisenberg_pipeline() -> HeisenbergReport:
         positions[pq].append(idx)
 
     def project(elt):
-        out = [F(0)] * n18
+        out = [0] * n18
         for (pq, part) in elt.parts().items():
             if pq not in classes:
                 raise FixtureMismatch(
@@ -229,8 +228,8 @@ def heisenberg_pipeline() -> HeisenbergReport:
         pos += w + 1
     summands = []
     for sid, (p, q), w, rep in HW_REPRESENTATIVES:
-        hwv = [F(0)] * n18
-        hwv[offsets[sid]] = F(1)
+        hwv = [0] * n18
+        hwv[offsets[sid]] = 1
         summands.append(sl2_summand(module, reg, w, hwv, sid))
     dec = Decomposition(module, reg, summands)
 

@@ -9,12 +9,10 @@ verified with the coefficient criterion before being returned.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations
 
+from ..exactla import div
 from ..gtable import GMatrix, check_morphism
-
-F = Fraction
 
 
 class NotFound(Exception):
@@ -37,13 +35,13 @@ def _relations(tA, tB, pairing):
             for s in tA.source.summands:
                 y = pairing[s.id]
                 for q in range(1, reg.d(r1.irrep, r2.irrep, s.irrep) + 1):
-                    c = cA.get((s.id, q), F(0))
-                    d = cB.get((y, q), F(0))
+                    c = cA.get((s.id, q), 0)
+                    d = cB.get((y, q), 0)
                     if c == 0 and d == 0:
                         continue
                     if c == 0 or d == 0:
                         return None  # would force a zero scalar
-                    rel.append((s.id, r1.id, r2.id, d / c))
+                    rel.append((s.id, r1.id, r2.id, div(d, c)))
     return rel
 
 
@@ -67,13 +65,13 @@ def _propagate(ids, relations):
     for (s, r1, r2, ratio) in relations:
         # nonzero scalars make these forced regardless of other values
         if s == r1 == r2:
-            if not put(s, 1 / ratio):
+            if not put(s, div(1, ratio)):
                 return None
         elif s == r1:
-            if not put(r2, 1 / ratio):
+            if not put(r2, div(1, ratio)):
                 return None
         elif s == r2:
-            if not put(r1, 1 / ratio):
+            if not put(r1, div(1, ratio)):
                 return None
     while True:
         before = len(lam)
@@ -84,16 +82,16 @@ def _propagate(ids, relations):
             if k1 is not None and k2 is not None:
                 ok = put(s, ratio * k1 * k2)
             elif ks is not None and k1 is not None:
-                ok = put(r2, ks / (ratio * k1))
+                ok = put(r2, div(ks, ratio * k1))
             else:
-                ok = put(r1, ks / (ratio * k2))
+                ok = put(r1, div(ks, ratio * k2))
             if not ok:
                 return None
         if len(lam) == len(order):
             break
         if len(lam) == before:
             free = next(i for i in order if i not in lam)
-            lam[free] = F(1)
+            lam[free] = 1
     for (s, r1, r2, ratio) in relations:
         if lam[s] != ratio * lam[r1] * lam[r2]:
             return None

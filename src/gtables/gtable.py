@@ -16,19 +16,16 @@ of s in the concatenated basis.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .exactla import (
-    ZERO,
     AmbiguousCoordinates,
     ColumnSolver,
     Matrix,
+    canon,
     scalar_from_str,
     scalar_to_str,
 )
 from .repkit import Decomposition, IntertwinerRegistry, _unit
-
-F = Fraction
 
 
 class GTableError(Exception):
@@ -68,7 +65,8 @@ class GTable:
         self.entries = {}
         tgt_order = {s.id: i for i, s in enumerate(target.summands)}
         for key, cell in entries.items():
-            cell = tuple(sorted(((s, q, F(c)) for (s, q, c) in cell if c),
+            cell = [(s, q, canon(c)) for (s, q, c) in cell]
+            cell = tuple(sorted((t for t in cell if t[2]),
                                 key=lambda t: (tgt_order[t[0]], t[1])))
             if cell:
                 self.entries[key] = cell
@@ -206,8 +204,8 @@ def _candidate_system(registry, i1, i2, target_dec):
             rows.setdefault(row, []).append(t)
     rows = list(rows.values())
     try:
-        solver = ColumnSolver([[col[ts[0]] for ts in rows] for col in cols],
-                              len(rows))
+        solver = ColumnSolver([{r: col[ts[0]] for r, ts in enumerate(rows)
+                                if col[ts[0]]} for col in cols], len(rows))
     except AmbiguousCoordinates:
         solver = None
     return cands, frozenset(t for ts in rows for t in ts), rows, solver
@@ -236,12 +234,12 @@ def product_from_structure(n, triples):
     """Bilinear map from sparse structure constants [(i, j, k, c), ...]."""
     table = {}  # i -> j -> [(k, c)]
     for i, j, k, c in triples:
-        c = F(c)
+        c = canon(c)
         if c:
             table.setdefault(i, {}).setdefault(j, []).append((k, c))
 
     def product(u, v):
-        out = [ZERO] * n
+        out = [0] * n
         for i, a in enumerate(u):
             if a and i in table:
                 for j, kc in table[i].items():
@@ -250,7 +248,7 @@ def product_from_structure(n, triples):
                         ab = a * b
                         for k, c in kc:
                             out[k] += ab * c
-        return tuple(out)
+        return tuple(map(canon, out))
 
     return product
 
@@ -264,7 +262,7 @@ class ExpandedAlgebra:
     def __init__(self, basis, struct):
         self.basis = basis  # [(summand_id, model_index)]
         self.index = {u: i for i, u in enumerate(basis)}
-        self.struct = struct  # {(i, j): {k: Fraction}}
+        self.struct = struct  # {(i, j): {k: scalar}}
 
     def product_coords(self, u, v):
         """Product of two coefficient vectors over the expanded basis."""
@@ -274,8 +272,8 @@ class ExpandedAlgebra:
                 for j, b in enumerate(v):
                     if b:
                         for k, c in self.struct.get((i, j), {}).items():
-                            out[k] = out.get(k, F(0)) + a * b * c
-        return tuple(out.get(k, F(0)) for k in range(len(self.basis)))
+                            out[k] = out.get(k, 0) + a * b * c
+        return tuple(canon(out.get(k, 0)) for k in range(len(self.basis)))
 
 
 def _offsets(dec):
@@ -319,8 +317,8 @@ def expand(table: GTable) -> ExpandedAlgebra:
                     for c, off, M in cell:
                         for k, x in enumerate(M.col(a * d2 + b)):
                             if x:
-                                acc[off + k] = acc.get(off + k, F(0)) + c * x
-                    row = {k: acc[k] for k in sorted(acc) if acc[k]}
+                                acc[off + k] = acc.get(off + k, 0) + c * x
+                    row = {k: canon(acc[k]) for k in sorted(acc) if acc[k]}
                     if row:
                         struct[(src_off[r1.id] + a, src_off[r2.id] + b)] = row
     return ExpandedAlgebra(src.basis_index(), struct)
@@ -337,7 +335,7 @@ class GMatrix:
         self.target = target
         self.entries = {}
         for (x, r), c in entries.items():
-            c = F(c)
+            c = canon(c)
             if not c:
                 continue
             if target.by_id[x].irrep != source.by_id[r].irrep:
@@ -347,10 +345,10 @@ class GMatrix:
 
     @staticmethod
     def identity(dec: Decomposition):
-        return GMatrix(dec, dec, {(s.id, s.id): F(1) for s in dec.summands})
+        return GMatrix(dec, dec, {(s.id, s.id): 1 for s in dec.summands})
 
     def __getitem__(self, xr):
-        return self.entries.get(xr, F(0))
+        return self.entries.get(xr, 0)
 
     def scale_summand(self, rid, a):
         """New map with the column of source summand rid scaled by a."""
@@ -367,7 +365,7 @@ class GMatrix:
         tgt_pos = {u: i for i, u in enumerate(tgt_basis)}
         cols = []
         for (rid, i) in src_basis:
-            col = [F(0)] * len(tgt_basis)
+            col = [0] * len(tgt_basis)
             for x in self.target.summands:
                 c = self[(x.id, rid)]
                 if c:
@@ -405,13 +403,13 @@ def check_morphism(tA: GTable, tB: GTable, f: GMatrix) -> bool:
             for y in B.summands:
                 dq = reg.d(r1.irrep, r2.irrep, y.irrep)
                 for q in range(1, dq + 1):
-                    lhs = F(0)
+                    lhs = 0
                     for s in A.summands:
                         if s.irrep == y.irrep:
                             c = cA.get((s.id, q))
                             if c:
                                 lhs += c * f[(y.id, s.id)]
-                    rhs = F(0)
+                    rhs = 0
                     for x1 in X1:
                         f1 = f[(x1, r1.id)]
                         if not f1:
@@ -454,7 +452,7 @@ class PlainAlgebra:
 
     def __init__(self, ids, struct):
         self.ids = list(ids)
-        self.struct = struct  # {(r1, r2): {s: Fraction}}
+        self.struct = struct  # {(r1, r2): {s: scalar}}
 
     def constants(self, r1, r2):
         return self.struct.get((r1, r2), {})
@@ -501,16 +499,15 @@ def _plain_morphism(pA: PlainAlgebra, pB: PlainAlgebra, fmap, tgt_ids):
         for r2 in pA.ids:
             cons = pA.constants(r1, r2)
             for y in tgt_ids:
-                lhs = sum((c * fmap.get((y, s), F(0))
-                           for s, c in cons.items()), F(0))
-                rhs = F(0)
+                lhs = sum(c * fmap.get((y, s), 0) for s, c in cons.items())
+                rhs = 0
                 for (x1, r1b), f1 in fmap.items():
                     if r1b != r1:
                         continue
                     for (x2, r2b), f2 in fmap.items():
                         if r2b != r2:
                             continue
-                        rhs += f1 * f2 * pB.constants(x1, x2).get(y, F(0))
+                        rhs += f1 * f2 * pB.constants(x1, x2).get(y, 0)
                 if lhs != rhs:
                     return False
     return True
@@ -547,7 +544,7 @@ def cotable(delta, dec: Decomposition, registry: IntertwinerRegistry) -> GTable:
     n = dec.module.dim
 
     def product(u, v):
-        out = [F(0)] * n
+        out = [0] * n
         for i in range(n):
             for (j, k, c) in delta.get(i, ()):
                 if u[j] and v[k]:

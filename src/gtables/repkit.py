@@ -17,13 +17,10 @@ intertwiner = polynomial multiplication) supports graded polynomial algebras.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
-from .exactla import ZERO, Matrix, Subspace, kernel
-
-F = Fraction
+from .exactla import Matrix, Subspace, canon, div, kernel
 
 
 class NonDiagonalizableH(Exception):
@@ -72,7 +69,7 @@ class Intertwiner:
 
     def apply(self, u, v):
         d2 = len(v)
-        tensor = [F(0)] * (len(u) * d2)
+        tensor = [0] * (len(u) * d2)
         for i, a in enumerate(u):
             if a:
                 for j, b in enumerate(v):
@@ -128,8 +125,8 @@ class IntertwinerRegistry:
 
 
 def _unit(n, i):
-    v = [F(0)] * n
-    v[i] = F(1)
+    v = [0] * n
+    v[i] = 1
     return tuple(v)
 
 
@@ -172,10 +169,9 @@ def s3_sign(a):
 
 
 S3_CHARACTERS = {
-    "tr": {g: F(1) for g in S3_ELEMENTS},
-    "sg": {g: F(s3_sign(g)) for g in S3_ELEMENTS},
-    "std": {"()": F(2), "(12)": F(0), "(23)": F(0), "(13)": F(0),
-            "(123)": F(-1), "(132)": F(-1)},
+    "tr": {g: 1 for g in S3_ELEMENTS},
+    "sg": {g: s3_sign(g) for g in S3_ELEMENTS},
+    "std": {"()": 2, "(12)": 0, "(23)": 0, "(13)": 0, "(123)": -1, "(132)": -1},
 }
 
 _STD_MATRICES = {
@@ -332,20 +328,20 @@ def _sl2_models():
     v0 = ModelIrrep(
         IrrepId(sl2, 0), 1,
         {"E": Matrix.zeros(1, 1), "H": Matrix.zeros(1, 1), "F": Matrix.zeros(1, 1)},
-        hw_vector=(F(1),), basis_names=["1"])
+        hw_vector=(1,), basis_names=["1"])
     v1 = ModelIrrep(
         IrrepId(sl2, 1), 2,
         {"E": Matrix.from_rows([[0, 1], [0, 0]]),
          "H": Matrix.from_rows([[1, 0], [0, -1]]),
          "F": Matrix.from_rows([[0, 0], [1, 0]])},
-        hw_vector=(F(1), F(0)), basis_names=["e1", "e2"])
+        hw_vector=(1, 0), basis_names=["e1", "e2"])
     # adjoint coordinates over the basis (E, H, F); hw vector is E itself
     v2 = ModelIrrep(
         IrrepId(sl2, 2), 3,
         {"E": Matrix.from_rows([[0, -2, 0], [0, 0, 1], [0, 0, 0]]),
          "H": Matrix.from_rows([[2, 0, 0], [0, 0, 0], [0, 0, -2]]),
          "F": Matrix.from_rows([[0, 0, 0], [-1, 0, 0], [0, 2, 0]])},
-        hw_vector=(F(1), F(0), F(0)), basis_names=["E", "H", "F"])
+        hw_vector=(1, 0, 0), basis_names=["E", "H", "F"])
     return {m.id: m for m in (v0, v1, v2)}
 
 
@@ -411,10 +407,10 @@ def glk_basis(k):
     for i in range(k):
         for j in range(k):
             if i != j:
-                basis.append({(i, j): F(1)})
+                basis.append({(i, j): 1})
                 names.append("E%d%d" % (i + 1, j + 1))
     for i in range(k - 1):
-        basis.append({(i, i): F(1), (i + 1, i + 1): F(-1)})
+        basis.append({(i, i): 1, (i + 1, i + 1): -1})
         names.append("D%d" % (i + 1))
     return basis, names
 
@@ -424,8 +420,8 @@ def glk_coords(A, k):
     diag = [A[(i, i)] for i in range(k) if (i, i) in A]
     if sum(diag) != 0:
         raise ValueError("matrix is not traceless")
-    coords = [A.get((i, j), ZERO) for i in range(k) for j in range(k) if i != j]
-    acc = ZERO
+    coords = [A.get((i, j), 0) for i in range(k) for j in range(k) if i != j]
+    acc = 0
     for i in range(k - 1):
         if (i, i) in A:
             acc += A[(i, i)]
@@ -442,14 +438,14 @@ def smat_mul(A, B):
     for (i, t), a in A.items():
         for j, b in rows.get(t, ()):
             key = (i, j)
-            out[key] = out.get(key, ZERO) + a * b
+            out[key] = out.get(key, 0) + a * b
     return {key: v for key, v in out.items() if v}
 
 
 def smat_sub(A, B):
     out = dict(A)
     for key, v in B.items():
-        w = out.get(key, ZERO) - v
+        w = out.get(key, 0) - v
         if w:
             out[key] = w
         else:
@@ -458,7 +454,7 @@ def smat_sub(A, B):
 
 
 def smat_trace(A, k):
-    return sum(A.get((i, i), ZERO) for i in range(k))
+    return sum(A.get((i, i), 0) for i in range(k))
 
 
 def _glk_labeling(k):
@@ -476,7 +472,7 @@ def _glk_labeling(k):
     action = {}
     for p in range(k):
         for q in range(k):
-            action["E_%d%d" % (p + 1, q + 1)] = ad_op({(p, q): F(1)})
+            action["E_%d%d" % (p + 1, q + 1)] = ad_op({(p, q): 1})
     triv = ModelIrrep(i0, 1, {op: Matrix.zeros(1, 1) for op in action},
                       basis_names=["1"])
     adj = ModelIrrep(iad, dim, action, basis_names=names)
@@ -498,9 +494,9 @@ def _glk_labeling(k):
         tr = smat_trace(AB, k)
         S = dict(AB)
         for key, v in BA.items():
-            S[key] = S.get(key, F(0)) + v
+            S[key] = S.get(key, 0) + v
         for i in range(k):
-            S[(i, i)] = S.get((i, i), F(0)) - F(2, k) * tr
+            S[(i, i)] = S.get((i, i), 0) - div(2 * tr, k)
         return glk_coords(S, k)
 
     maps = {}
@@ -546,12 +542,12 @@ def sl2_poly_labeling(max_degree) -> IntertwinerRegistry:
     for r in range(max_degree + 1):
         dim = r + 1
         E = Matrix.zeros(dim, dim) if dim == 1 else Matrix.from_rows(
-            [[F(j) if j == i + 1 else F(0) for j in range(dim)] for i in range(dim)])
+            [[j if j == i + 1 else 0 for j in range(dim)] for i in range(dim)])
         H = Matrix.from_rows(
-            [[F(r - 2 * i) if i == j else F(0) for j in range(dim)]
+            [[r - 2 * i if i == j else 0 for j in range(dim)]
              for i in range(dim)])
         Fm = Matrix.zeros(dim, dim) if dim == 1 else Matrix.from_rows(
-            [[F(r - j) if j == i - 1 else F(0) for j in range(dim)]
+            [[r - j if j == i - 1 else 0 for j in range(dim)]
              for i in range(dim)])
         models[IrrepId("SL2", r)] = ModelIrrep(
             IrrepId("SL2", r), dim, {"E": E, "H": H, "F": Fm},
@@ -561,10 +557,10 @@ def sl2_poly_labeling(max_degree) -> IntertwinerRegistry:
     for r1 in range(max_degree + 1):
         for r2 in range(max_degree + 1 - r1):
             s = r1 + r2
-            rows = [[F(0)] * ((r1 + 1) * (r2 + 1)) for _ in range(s + 1)]
+            rows = [[0] * ((r1 + 1) * (r2 + 1)) for _ in range(s + 1)]
             for i in range(r1 + 1):
                 for j in range(r2 + 1):
-                    rows[i + j][i * (r2 + 1) + j] = F(1)
+                    rows[i + j][i * (r2 + 1) + j] = 1
             t = (IrrepId("SL2", r1), IrrepId("SL2", r2), IrrepId("SL2", s))
             maps[t] = [Intertwiner(*t, 1, Matrix.from_rows(rows))]
     return IntertwinerRegistry("SL2", "sl2-poly", models, maps)
@@ -608,7 +604,7 @@ def sl2_summand(module, registry, weight, hwv, sid):
     model = registry.models[IrrepId("SL2", weight)]
     Fmod = module.action["F"]
     Fmodel = model.action["F"]
-    w = tuple(map(F, hwv))
+    w = tuple(map(canon, hwv))
     cols_module = [w]
     v = list(model.hw_vector)
     cols_model = [tuple(v)]
@@ -646,7 +642,7 @@ def s3_isotypic_projector(M: GModule, char):
     P = Matrix.zeros(M.dim, M.dim)
     for g in S3_ELEMENTS:
         P = P + M.action[g].scale(chi[s3_inverse(g)])
-    return P.scale(F(dim_chi, 6))
+    return P.scale(div(dim_chi, 6))
 
 
 def _image_basis(P: Matrix):
@@ -667,7 +663,7 @@ def decompose_s3(M: GModule, registry: IntertwinerRegistry, generators=None) -> 
         summands = []
         for sid, label, vecs in generators:
             irrep = IrrepId("S3", label)
-            tau = Matrix.from_cols([list(map(F, v)) for v in vecs], nrows=M.dim)
+            tau = Matrix.from_cols(vecs, nrows=M.dim)
             summands.append(Summand(sid, irrep, tau))
         return Decomposition(M, registry, summands)
 
@@ -685,10 +681,10 @@ def decompose_s3(M: GModule, registry: IntertwinerRegistry, generators=None) -> 
         for j in (1, 2):
             acc = Matrix.zeros(M.dim, M.dim)
             for g in S3_ELEMENTS:
-                coef = F(_STD_MATRICES[s3_inverse(g)][j - 1][i - 1])
+                coef = _STD_MATRICES[s3_inverse(g)][j - 1][i - 1]
                 if coef:
                     acc = acc + M.action[g].scale(coef)
-            p[(i, j)] = acc.scale(F(2, 6))
+            p[(i, j)] = acc.scale(div(2, 6))
     copies = _image_basis(p[(1, 1)])
     for i, v in enumerate(copies):
         u1 = p[(1, 1)].matvec(v)
@@ -721,7 +717,7 @@ def s3_group_algebra_product():
     idx = {g: i for i, g in enumerate(S3_ELEMENTS)}
 
     def product(u, v):
-        out = [F(0)] * 6
+        out = [0] * 6
         for i, a in enumerate(u):
             if a:
                 for j, b in enumerate(v):

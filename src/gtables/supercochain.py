@@ -26,22 +26,18 @@ so the result is the one the whole bidegree would give
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product
 from math import comb, lcm
 
 from .exactla import (
-    ONE,
-    ZERO,
     Matrix,
     Subspace,
+    canon,
     coords_modulo,
     kernel,
     rref,
     scalar_to_str,
 )
-
-F = Fraction
 
 
 class NotACocycle(Exception):
@@ -72,7 +68,7 @@ class BigradedElement:
         clean = {}
         if terms:
             for (I, J), c in terms.items():
-                c = F(c)
+                c = canon(c)
                 if c:
                     clean[(tuple(I), tuple(J))] = c
         self.terms = clean
@@ -83,7 +79,7 @@ class BigradedElement:
 
     @staticmethod
     def one():
-        return BigradedElement({((), ()): F(1)})
+        return BigradedElement({((), ()): 1})
 
     @staticmethod
     def monomial(I, J, c=1):
@@ -92,7 +88,7 @@ class BigradedElement:
         sj = _sort_tuple(J)
         if si is None or sj is None:
             return BigradedElement()
-        return BigradedElement({(si[1], sj[1]): F(c) * si[0] * sj[0]})
+        return BigradedElement({(si[1], sj[1]): canon(c) * si[0] * sj[0]})
 
     def is_zero(self):
         return not self.terms
@@ -100,17 +96,17 @@ class BigradedElement:
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, F(0)) + c
+            out[k] = out.get(k, 0) + c
         return BigradedElement(out)
 
     def __sub__(self, other):
-        return self + other.scale(F(-1))
+        return self + other.scale(-1)
 
     def __neg__(self):
-        return self.scale(F(-1))
+        return self.scale(-1)
 
     def scale(self, a):
-        a = F(a)
+        a = canon(a)
         return BigradedElement({k: a * c for k, c in self.terms.items()})
 
     def __eq__(self, other):
@@ -156,7 +152,7 @@ def vee(a: BigradedElement, b: BigradedElement) -> BigradedElement:
                 continue
             sign = mi[0] * mj[0] * (-1 if (len(I2) * q1) % 2 else 1)
             key = (mi[1], mj[1])
-            out[key] = out.get(key, F(0)) + sign * c1 * c2
+            out[key] = out.get(key, 0) + sign * c1 * c2
     return BigradedElement(out)
 
 
@@ -203,7 +199,7 @@ def bracket(a: BigradedElement, b: BigradedElement) -> BigradedElement:
         wa = _word(I1, J1)
         for wb, c2 in words:
             for sign, I, J in _word_bracket(wa, wb):
-                out[(I, J)] = out.get((I, J), F(0)) + sign * c1 * c2
+                out[(I, J)] = out.get((I, J), 0) + sign * c1 * c2
     return BigradedElement(out)
 
 
@@ -236,7 +232,7 @@ class ComplexContext:
                 raise ValueError("use keys with i < j")
             for k, c in img.items():
                 key = ((i, j), (k,))
-                terms[key] = terms.get(key, F(0)) + F(c)
+                terms[key] = terms.get(key, 0) + canon(c)
         return ComplexContext(n, BigradedElement(terms), gnames, gstar_names, sl2)
 
     def dual_action(self, op):
@@ -284,7 +280,7 @@ def sl2_act(op, c: BigradedElement, ctx: ComplexContext) -> BigradedElement:
                     st = _sort_tuple(I[:t] + (a,) + I[t + 1:])
                     if st is not None:
                         key = (st[1], J)
-                        out[key] = out.get(key, ZERO) + st[0] * coef * x
+                        out[key] = out.get(key, 0) + st[0] * coef * x
         for t, j in enumerate(J):
             for b in range(ctx.n):
                 x = X[b, j]
@@ -292,7 +288,7 @@ def sl2_act(op, c: BigradedElement, ctx: ComplexContext) -> BigradedElement:
                     st = _sort_tuple(J[:t] + (b,) + J[t + 1:])
                     if st is not None:
                         key = (I, st[1])
-                        out[key] = out.get(key, ZERO) + st[0] * coef * x
+                        out[key] = out.get(key, 0) + st[0] * coef * x
     return BigradedElement(out)
 
 
@@ -308,7 +304,7 @@ def to_coords(elt: BigradedElement, basis):
     """Coordinates of elt in basis, a monomial_basis; ValueError names a term
     outside it."""
     index = {m: i for i, m in enumerate(basis)}
-    v = [F(0)] * len(basis)
+    v = [0] * len(basis)
     for key, c in elt.terms.items():
         i = index.get(key)
         if i is None:
@@ -321,7 +317,7 @@ def to_coords(elt: BigradedElement, basis):
 
 
 def from_coords(v, basis):
-    return BigradedElement({m: F(c) for m, c in zip(basis, v) if c})
+    return BigradedElement({m: c for m, c in zip(basis, v) if c})
 
 
 def _weights(ctx):
@@ -337,7 +333,7 @@ def _weights(ctx):
         for (i, j), (k,) in ctx.mu.terms:
             row = {i: 1, j: 1}  # i < j
             row[k] = row.get(k, 0) - 1
-            rows.append({a: F(x) for a, x in row.items() if x})
+            rows.append({a: x for a, x in row.items() if x})
         torus = []
         for w in kernel(Matrix(len(rows), ctx.n, tuple(rows))).rows:
             den = lcm(*[x.denominator for x in w.values()])
@@ -371,7 +367,7 @@ def _by_weight(ctx, p, q):
 
 
 def _d_images(ctx, p, q):
-    """d of each monomial of C^{p,q}, as {index into C^{p+1,q}: Fraction};
+    """d of each monomial of C^{p,q}, as {index into C^{p+1,q}: scalar};
     memoized, so that C^{p,q} (its cocycles) and C^{p+1,q} (its boundaries)
     share one computation per monomial."""
     key = ("d", p, q)
@@ -379,7 +375,7 @@ def _d_images(ctx, p, q):
         index = {m: i for i, m in enumerate(monomial_basis(ctx.n, p + 1, q))}
         ctx._cache[key] = [
             {index[k]: c for k, c in
-             differential(BigradedElement({m: ONE}), ctx).terms.items()}
+             differential(BigradedElement({m: 1}), ctx).terms.items()}
             for m in monomial_basis(ctx.n, p, q)]
     return ctx._cache[key]
 
@@ -390,7 +386,7 @@ def _blocks(ctx, p, q):
     d preserves weight, so the cocycles of a block are the kernel of d from it
     to the block of C^{p+1,q} of the same weight, and its boundaries are
     spanned by the images of that block of C^{p-1,q}.  Rows are the block's
-    reduced echelon basis as sparse {monomial index: Fraction}.  Every image
+    reduced echelon basis as sparse {monomial index: scalar}.  Every image
     is read, also where the other bidegree has no block of that weight: a
     term outside the block of its weight would raise KeyError.
     """
@@ -420,7 +416,7 @@ def _blocks(ctx, p, q):
             Z = kernel(Matrix(len(rows), len(index), tuple(rows.values())))
             Z = [{index[s]: x for s, x in r.items()} for r in Z.rows]
         else:  # nothing of weight w in C^{p+1,q}: d is zero on the block
-            Z = [{t: ONE} for t in index]
+            Z = [{t: 1} for t in index]
         out.append((boundary.get(w, []), Z))
     return out
 
@@ -507,7 +503,7 @@ def class_coords(z: BigradedElement, reps, boundary, ctx):
     if not differential(z, ctx).is_zero():
         raise NotACocycle("class_coords needs a cocycle")
     if z.is_zero():
-        return tuple(F(0) for _ in reps)
+        return tuple(0 for _ in reps)
     p, q = reps[0].bidegree() if reps else z.bidegree()
     basis = monomial_basis(ctx.n, p, q)
     lam = coords_modulo(to_coords(z, basis),

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import supercochain as sc
-from .exactla import ZERO, AmbiguousCoordinates, Matrix, Subspace, kernel, rref
+from .exactla import AmbiguousCoordinates, Matrix, Subspace, kernel, rref
 from .gtable import (
     ExpandedAlgebra,
     GMatrix,
@@ -217,12 +217,14 @@ def _rref_dense(rows, ncols):
         prev = piv
         pivots.append(c)
         r += 1
-    # back substitution over Q, leading entries normalized to 1
+    # back substitution over Q, leading entries normalized to 1 by the
+    # Fraction reciprocal of the pivot, independently of exactla.div
     red = [[Fraction(x) for x in m[i]] for i in range(len(pivots))]
     for i in range(len(pivots) - 1, -1, -1):
         c = pivots[i]
         piv = red[i][c]
-        red[i] = [x / piv for x in red[i]]
+        inv = Fraction(piv.denominator, piv.numerator)
+        red[i] = [x * inv for x in red[i]]
         for k in range(i):
             f = red[k][c]
             if f:
@@ -249,7 +251,7 @@ def _coords_modulo_rref(z, reps, W):
         raise AmbiguousCoordinates("representatives dependent modulo subspace")
     if len(pivots) > k:
         return None
-    return tuple(red[i].get(k, ZERO) for i in range(len(reps)))
+    return tuple(F(red[i].get(k, 0)) for i in range(len(reps)))
 
 
 def _expand_via_module(table):

@@ -1,4 +1,5 @@
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -27,3 +28,14 @@ def golden(request):
             assert fh.read() == text, "output differs from golden file %s" % name
 
     return check
+
+
+def _is_canonical(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+@pytest.fixture
+def canonical():
+    """The scalar contract: an int exactly when the value is integral,
+    otherwise a Fraction with denominator > 1, never a float or a bool."""
+    return _is_canonical

@@ -8,7 +8,9 @@ from gtables.exactla import (
     ColumnSolver,
     Matrix,
     Subspace,
+    canon,
     coords_modulo,
+    div,
     kernel,
     rref,
     scalar_from_str,
@@ -32,6 +34,31 @@ def test_scalar_strings():
     assert scalar_to_str(F(0)) == "0"
     assert scalar_from_str("3/2") == F(3, 2)
     assert scalar_from_str("-7") == F(-7)
+    assert type(scalar_from_str("4/2")) is int
+
+
+def test_canon_and_div(canonical):
+    for x, want in [(7, 7), (F(4, 2), 2), (F(-1, 3), F(-1, 3))]:
+        assert canon(x) == want and canonical(canon(x))
+    for a, b, want in [(6, 3, 2), (-4, 6, F(-2, 3)), (1, -3, F(-1, 3)),
+                       (F(1, 2), F(1, 4), 2), (3, F(3, 2), 2),
+                       (F(2, 3), 4, F(1, 6))]:
+        assert div(a, b) == want and canonical(div(a, b))
+    with pytest.raises(ZeroDivisionError):
+        div(1, 0)
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, 0.0, True, False])
+def test_float_and_bool_are_not_scalars(bad):
+    # Fraction(0.5) would quietly turn a float leak into 1/2
+    for make in (lambda: canon(bad), lambda: scalar_to_str(bad),
+                 lambda: div(bad, 3), lambda: div(3, bad),
+                 lambda: Matrix.from_rows([[1, bad]]),
+                 lambda: Matrix.from_cols([[bad, 1]]),
+                 lambda: Matrix.identity(2).scale(bad),
+                 lambda: Subspace(2, [[1, bad]])):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_kernel_zero_map():
@@ -136,7 +163,7 @@ def _reduce_dense(v, basis):
     return tuple(v)
 
 
-def test_subspace_sparse_rows_match_dense_reference():
+def test_subspace_sparse_rows_match_dense_reference(canonical):
     rng = random.Random(43)
     shapes = set()
     for _ in range(80):
@@ -154,7 +181,7 @@ def test_subspace_sparse_rows_match_dense_reference():
             assert all(not any(M.matvec(v)) for v in K.basis)
             spaces.append(K)
         for S in spaces:
-            assert all(type(x) is F and x for r in S.rows for x in r.values())
+            assert all(canonical(x) and x for r in S.rows for x in r.values())
             assert [min(r) for r in S.rows] == sorted(min(r) for r in S.rows)
         for S in spaces[:2]:
             assert S.basis == want and S.dim == len(pivots)
@@ -181,7 +208,7 @@ def test_subspace_sparse_rows_match_dense_reference():
     assert shapes == {True, False}
 
 
-def test_dense_sparse_agreement():
+def test_dense_sparse_agreement(canonical):
     rng = random.Random(13)
     for _ in range(25):
         nrows = rng.randint(1, 8)
@@ -191,7 +218,7 @@ def test_dense_sparse_agreement():
         pd, rd = _rref_dense(rows, ncols)
         ps, rs = rref([{j: x for j, x in enumerate(r) if x} for r in rows], ncols)
         assert pd == ps
-        assert all(type(x) is F and x for r in rs for x in r.values())
+        assert all(canonical(x) and x for r in rs for x in r.values())
         assert rd == [[r.get(j, 0) for j in range(ncols)] for r in rs]
 
 
@@ -251,10 +278,13 @@ def test_column_solver_edge_cases():
     assert empty.solve((0, 1, 0)) is None
     # dependent columns are rejected on construction, before any z
     with pytest.raises(AmbiguousCoordinates):
-        ColumnSolver([(1, 2, 0), (F(1, 2), 1, 0)], 3)
+        ColumnSolver([{0: 1, 1: 2}, {0: F(1, 2), 1: 1}], 3)
     with pytest.raises(AmbiguousCoordinates):
-        ColumnSolver([(0, 0)], 2)
-    solver = ColumnSolver([(1, 0, 2), (0, 1, 1)], 3)
+        ColumnSolver([{0: 0}], 2)
+    # columns are sparse {row: scalar}; a row outside range(n) is an error
+    with pytest.raises(ValueError):
+        ColumnSolver([{3: 1}], 3)
+    solver = ColumnSolver([{0: 1, 2: 2}, {1: 1, 2: 1}], 3)
     assert solver.solve((0, 0, 0)) == (F(0), F(0))
     assert solver.solve((2, -1, 3)) == (F(2), F(-1))
     assert solver.solve((0, 0, 1)) is None
@@ -262,7 +292,7 @@ def test_column_solver_edge_cases():
         solver.solve((1, 0))
 
 
-def test_column_solver_matches_rref_reference():
+def test_column_solver_matches_rref_reference(canonical):
     # every right-hand side against one factored solver agrees with one
     # elimination of [reps | W | z] per call
     rng = random.Random(31)
@@ -277,7 +307,8 @@ def test_column_solver_matches_rref_reference():
         zs.append([sum((c * col[i] for c, col in zip(coeffs, cols)), F(0))
                    for i in range(n)])
         try:
-            solver = ColumnSolver(cols, n)
+            solver = ColumnSolver(
+                [{i: x for i, x in enumerate(c) if x} for c in cols], n)
         except AmbiguousCoordinates:
             seen["dependent"] += 1
             for z in zs:
@@ -295,7 +326,7 @@ def test_column_solver_matches_rref_reference():
                 continue
             seen["zero" if not any(z) else "inside"] += 1
             assert x[:len(reps)] == want
-            assert all(type(c) is Fraction for c in x)
+            assert all(canonical(c) for c in x)
             assert [sum((c * col[i] for c, col in zip(x, cols)), F(0))
                     for i in range(n)] == z
     assert all(seen.values()), seen

@@ -1,11 +1,13 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+from gtables.cli import load_spec
 from gtables.exactla import Matrix, scalar_from_str
 from gtables import gtable
-from gtables.gallery import gln_sl2_tables, gln_tables
+from gtables.gallery import gln_sl2_tables, gln_tables, heisenberg_pipeline
 from gtables.gallery.fixtures import s3_decomposition
 from gtables.gallery.glnfamily import _coordinate_maps
 from gtables.gtable import (
@@ -55,7 +57,7 @@ def heisenberg_bracket_product():
     return product_from_structure(3, [(0, 1, 2, 1), (1, 0, 2, -1)])
 
 
-def test_product_from_structure_matches_dense_loop():
+def test_product_from_structure_matches_dense_loop(canonical):
     # seeded sparse structures with repeated (i, j, k) triples and zero
     # coefficients, against the bilinear map summed over every (i, j, k)
     rng = random.Random(2718)
@@ -78,7 +80,7 @@ def test_product_from_structure_matches_dense_loop():
                          for k in range(n))
             got = product(u, v)
             assert got == want
-            assert all(type(x) is Fraction for x in got)
+            assert all(canonical(x) for x in got)
 
 
 def test_heisenberg_lie_table():
@@ -355,6 +357,45 @@ def test_check_morphism_identity_and_scaling():
     assert check_morphism(t, t, f3)
     assert morphism_oracle(t, t, f3)
     assert corollary_check(t, t, f3)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False])
+def test_gmatrix_rejects_float_and_bool(bad):
+    reg, dec = heisenberg_dec()
+    with pytest.raises(TypeError):
+        GMatrix(dec, dec, {("h_0", "h_0"): bad})
+
+
+def _stored_scalars(table):
+    """The cells of a table, its expanded structure constants, and the rows
+    of every Matrix of its decompositions and registry."""
+    out = [c for cell in table.entries.values() for (_, _, c) in cell]
+    out += [c for row in expand(table).struct.values() for c in row.values()]
+    mats = []
+    for dec in (table.source, table.target):
+        mats += list(dec.module.action.values()) + [s.tau for s in dec.summands]
+        mats.append(dec.basis_matrix())
+    for model in table.registry.models.values():
+        mats += list(model.action.values())
+    mats += [m.matrix for maps in table.registry.maps.values() for m in maps]
+    out += [x for M in mats for r in M._rows for x in r.values()]
+    return out
+
+
+def test_stored_scalars_are_canonical(canonical):
+    # gl(3) tables, the Heisenberg report and a spec file through the path
+    # of `extract --spec`, whose coefficients include halves
+    rep = heisenberg_pipeline()
+    reg, module, triples, _, summands = load_spec(os.path.join(
+        os.path.dirname(__file__), "golden", "heisenberg_he.json"))
+    dec = decompose_sl2(module, reg, hwvs=summands)
+    spec = extract(product_from_structure(module.dim, triples), dec, reg)
+    tables = list(gln_tables(3)) + [rep.cup_table, rep.bracket_table, spec]
+    scalars = [x for t in tables for x in _stored_scalars(t)]
+    scalars += [c for s in (rep.cup_structure, rep.bracket_structure)
+                for (_, _, _, c) in s]
+    assert all(canonical(x) for x in scalars)
+    assert any(type(x) is Fraction for x in scalars)
 
 
 def test_morphism_equivalence_corpus():
