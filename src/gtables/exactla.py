@@ -58,6 +58,15 @@ def scalar_to_str(x) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
+def join_terms(terms) -> str:
+    """Rendered terms joined by " + ", or by " - " before a term with a
+    leading minus sign, whose sign it takes over."""
+    out = terms[0]
+    for b in terms[1:]:
+        out += " - " + b[1:] if b.startswith("-") else " + " + b
+    return out
+
+
 def scalar_from_str(s: str):
     if "/" in s:
         num, den = s.split("/")
@@ -80,7 +89,12 @@ def rref(rows, ncols):
     """
     m = []
     for row in rows:
-        den = lcm(*[x.denominator for x in row.values()])
+        try:
+            den = lcm(*[x.denominator for x in row.values()])
+        except AttributeError:
+            for x in row.values():
+                canon(x)  # raises TypeError on the entry that is not a scalar
+            raise
         m.append({j: x.numerator * (den // x.denominator)
                   for j, x in row.items() if x})
     nrows = len(m)
@@ -179,6 +193,16 @@ class Matrix:
                 if x:
                     rows[i][j] = x
         return Matrix(nrows, len(cols), rows)
+
+    @staticmethod
+    def block_diag(blocks):
+        """The block-diagonal matrix with the given blocks, in order."""
+        rows = []
+        off = 0
+        for B in blocks:
+            rows.extend({off + j: x for j, x in r.items()} for r in B._rows)
+            off += B.ncols
+        return Matrix(len(rows), off, tuple(rows))
 
     @staticmethod
     def zeros(nrows, ncols):
@@ -434,6 +458,7 @@ class ColumnSolver:
         """
         if len(z) != self.n:
             raise ValueError("right-hand side must have length %d" % self.n)
+        z = list(map(canon, z))
         x = [0] * len(self._cols)
         for p, e in self._inv:
             zp = z[p]
@@ -445,7 +470,7 @@ class ColumnSolver:
             if xj:
                 for i, c in col:
                     y[i] += c * xj
-        return tuple(map(canon, x)) if y == list(z) else None
+        return tuple(map(canon, x)) if y == z else None
 
 
 def coords_modulo(z, reps, W: Subspace):

@@ -9,23 +9,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..exactla import Matrix, div, scalar_from_str
+from ..exactla import div, scalar_from_str
 from ..gtable import GTable, cotable, extract
 from ..repkit import (
-    Decomposition,
     GModule,
     IrrepId,
-    Summand,
+    block_decomposition,
     builtin_labeling,
     decompose_s3,
     decompose_sl2,
+    glk_ad,
     glk_basis,
     glk_coords,
+    glk_matrix,
     group_algebra_s3_conjugation,
     s3_group_algebra_product,
     sl2_poly_labeling,
+    smat_add,
+    smat_comm,
     smat_mul,
-    smat_sub,
+    smat_scale,
     smat_trace,
 )
 
@@ -141,59 +144,23 @@ def s3_fixture() -> FixtureReport:
 # M_k(K) under GL(k) conjugation
 
 def _mk_module_and_product(k):
+    """M_k as triv + adj of the GL(k) registry: coordinates are the
+    identity component tr(A)/k, then the traceless part in glk_basis order."""
     reg = builtin_labeling("GLk", k=k)
-    basis, _ = glk_basis(k)
+    gk = "GL%d" % k
+    dec = block_decomposition(reg, [("A_0", IrrepId(gk, "trivial")),
+                                    ("A_1", IrrepId(gk, "adjoint"))])
     ident = {(i, i): 1 for i in range(k)}
-    full = [ident] + basis  # coordinates: (identity component, sl(k) components)
-    dim = k * k
-
-    def to_mat(u):
-        out = {}
-        for c, B in zip(u, full):
-            if c:
-                for key, v in B.items():
-                    out[key] = out.get(key, 0) + c * v
-        return {key: v for key, v in out.items() if v}
+    full = [ident] + glk_basis(k)[0]  # (identity component, sl(k) part)
 
     def to_coords(A):
-        tr = smat_trace(A, k)
-        scalar = div(tr, k)
-        T = dict(A)
-        for i in range(k):
-            w = T.get((i, i), 0) - scalar
-            if w:
-                T[(i, i)] = w
-            else:
-                T.pop((i, i), None)
-        return tuple([scalar] + glk_coords(T, k))
-
-    action = {}
-    for p in range(k):
-        for q in range(k):
-            P = {(p, q): 1}
-            cols = []
-            for b in range(dim):
-                u = [0] * dim
-                u[b] = 1
-                B = to_mat(u)
-                cols.append(to_coords(smat_sub(smat_mul(P, B), smat_mul(B, P))))
-            action["E_%d%d" % (p + 1, q + 1)] = Matrix.from_cols(cols, nrows=dim)
-    module = GModule("GLk", dim, action)
+        scalar = div(smat_trace(A, k), k)
+        return tuple([scalar] +
+                     glk_coords(smat_add(A, smat_scale(-scalar, ident)), k))
 
     def product(u, v):
-        return to_coords(smat_mul(to_mat(u), to_mat(v)))
+        return to_coords(smat_mul(glk_matrix(u, full), glk_matrix(v, full)))
 
-    gk = "GL%d" % k
-    tau0 = Matrix.from_cols([[1] + [0] * (dim - 1)], nrows=dim)
-    tau1_cols = []
-    for i in range(dim - 1):
-        col = [0] * dim
-        col[1 + i] = 1
-        tau1_cols.append(col)
-    dec = Decomposition(module, reg, [
-        Summand("A_0", IrrepId(gk, "trivial"), tau0),
-        Summand("A_1", IrrepId(gk, "adjoint"), Matrix.from_cols(tau1_cols, nrows=dim)),
-    ])
     return reg, dec, product
 
 
@@ -224,6 +191,9 @@ def mk_fixture(k) -> FixtureReport:
 # ---------------------------------------------------------------------------
 # sl(3, K) under the corner SL(2)
 
+# E, H, F of the upper-left corner sl(2) in sl(3) (and in gl(3))
+CORNER_SL2 = {"E": {(0, 1): 1}, "H": {(0, 0): 1, (1, 1): -1}, "F": {(1, 0): 1}}
+
 SL3_TABLE = {
     ("V_0", "V_1"): [("V_1", 1, "3")],
     ("V_0", "V_1'"): [("V_1'", 1, "-3")],
@@ -249,26 +219,12 @@ def sl3_fixture() -> FixtureReport:
     """
     reg = builtin_labeling("SL2")
     basis, names = glk_basis(3)
-    dim = 8
-    embed = {"E": {(0, 1): 1}, "H": {(0, 0): 1, (1, 1): -1}, "F": {(1, 0): 1}}
-    action = {}
-    for op, P in embed.items():
-        cols = [glk_coords(smat_sub(smat_mul(P, B), smat_mul(B, P)), 3)
-                for B in basis]
-        action[op] = Matrix.from_cols(cols, nrows=dim)
-    module = GModule("SL2", dim, action, basis_names=names)
-
-    def to_mat(u):
-        out = {}
-        for c, B in zip(u, basis):
-            if c:
-                for key, v in B.items():
-                    out[key] = out.get(key, 0) + c * v
-        return out
+    action = {op: glk_ad(P, 3, basis) for op, P in CORNER_SL2.items()}
+    module = GModule("SL2", 8, action, basis_names=names)
 
     def lie(u, v):
-        A, B = to_mat(u), to_mat(v)
-        return tuple(glk_coords(smat_sub(smat_mul(A, B), smat_mul(B, A)), 3))
+        A, B = glk_matrix(u, basis), glk_matrix(v, basis)
+        return tuple(glk_coords(smat_comm(A, B), 3))
 
     coords = lambda A: glk_coords(A, 3)
     hwvs = [
@@ -292,22 +248,10 @@ def poly_fixture(max_degree) -> FixtureReport:
         raise ValueError("max degree >= 1")
     D = max_degree
     reg = sl2_poly_labeling(D)
-    dim = (D + 1) * (D + 2) // 2
-    offs = {}
-    pos = 0
-    for r in range(D + 1):
-        offs[r] = pos
-        pos += r + 1
-    action = {}
-    for op in ("E", "H", "F"):
-        rows = [[0] * dim for _ in range(dim)]
-        for r in range(D + 1):
-            A = reg.models[IrrepId("SL2", r)].action[op]
-            for i in range(r + 1):
-                for j in range(r + 1):
-                    rows[offs[r] + i][offs[r] + j] = A[i, j]
-        action[op] = Matrix.from_rows(rows)
-    module = GModule("SL2", dim, action)
+    dec = block_decomposition(reg, [("A_%d" % r, IrrepId("SL2", r))
+                                    for r in range(D + 1)])
+    dim = dec.module.dim
+    offs = {r: r * (r + 1) // 2 for r in range(D + 1)}
 
     def product(u, v):
         out = [0] * dim
@@ -323,12 +267,6 @@ def poly_fixture(max_degree) -> FixtureReport:
                             out[offs[r1 + r2] + i + j] += a * b
         return tuple(out)
 
-    hwvs = []
-    for r in range(D + 1):
-        v = [0] * dim
-        v[offs[r]] = 1
-        hwvs.append(("A_%d" % r, r, v))
-    dec = decompose_sl2(module, reg, hwvs=hwvs)
     table = extract(product, dec, reg)
     cells = {}
     for r1 in range(D + 1):

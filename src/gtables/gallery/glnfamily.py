@@ -12,22 +12,26 @@ in the second, where sym(A, B) = AB + BA - (2/n) tr(AB) I.
 
 from __future__ import annotations
 
-from ..exactla import Matrix, canon, div
+from ..exactla import Matrix, canon
 from ..gtable import extract
 from ..repkit import (
     Decomposition,
     GModule,
     IrrepId,
-    Summand,
+    block_decomposition,
     builtin_labeling,
+    glk_ad,
     glk_basis,
     glk_coords,
+    glk_matrix,
     sl2_summand,
-    smat_mul,
-    smat_sub,
-    smat_trace,
+    smat_add,
+    smat_comm,
+    smat_scale,
+    smat_sym,
+    smat_trace_prod,
 )
-from .fixtures import compare, expected_table
+from .fixtures import CORNER_SL2, compare, expected_table
 
 
 class SizeMismatch(Exception):
@@ -44,57 +48,14 @@ def _check_sizes(u, v):
     return u[0]
 
 
-def _sadd(*mats):
-    out = {}
-    for M in mats:
-        for key, v in M.items():
-            w = out.get(key, 0) + v
-            if w:
-                out[key] = w
-            else:
-                out.pop(key, None)
-    return out
-
-
-def _sscale(a, M):
-    return {key: a * v for key, v in M.items()} if a else {}
-
-
-def _sym(A, B, n):
-    AB = smat_mul(A, B)
-    BA = smat_mul(B, A)
-    tr = smat_trace(AB, n)
-    S = _sadd(AB, BA)
-    if tr:
-        t = div(2 * tr, n)
-        for i in range(n):
-            w = S.get((i, i), 0) - t
-            if w:
-                S[(i, i)] = w
-            else:
-                S.pop((i, i), None)
-    return S
-
-
-def _trace_of_product(A, B):
-    """tr(AB) = sum of A_ij B_ji, without forming AB."""
-    acc = 0
-    for (i, j), a in A.items():
-        b = B.get((j, i))
-        if b is not None:
-            acc += a * b
-    return acc
-
-
 def gln_product(u, v):
     n = _check_sizes(u, v)
     _, a0, A0, a1, A1 = u
     _, b0, B0, b1, B1 = v
     c0 = a0 * b0
-    C0 = _sadd(_sscale(a0, B0), _sscale(b0, A0))
-    c1 = a0 * b1 + a1 * b0 + _trace_of_product(A0, B1) \
-        + _trace_of_product(A1, B0)
-    C1 = _sadd(_sscale(a0, B1), _sscale(b0, A1), _sym(A0, B0, n))
+    C0 = smat_add(smat_scale(a0, B0), smat_scale(b0, A0))
+    c1 = a0 * b1 + a1 * b0 + smat_trace_prod(A0, B1) + smat_trace_prod(A1, B0)
+    C1 = smat_add(smat_scale(a0, B1), smat_scale(b0, A1), smat_sym(A0, B0, n))
     return (n, c0, C0, c1, C1)
 
 
@@ -102,10 +63,8 @@ def gln_bracket(u, v):
     n = _check_sizes(u, v)
     _, a0, A0, a1, A1 = u
     _, b0, B0, b1, B1 = v
-    C0 = smat_sub(smat_mul(A0, B0), smat_mul(B0, A0))
-    C1 = _sadd(smat_sub(smat_mul(A0, B1), smat_mul(B1, A0)),
-               smat_sub(smat_mul(A1, B0), smat_mul(B0, A1)))
-    return (n, 0, C0, 0, C1)
+    C1 = smat_add(smat_comm(A0, B1), smat_comm(A1, B0))
+    return (n, 0, smat_comm(A0, B0), 0, C1)
 
 
 def _basis_elements(n):
@@ -122,43 +81,19 @@ def _coords(u):
     return tuple([a0] + glk_coords(A0, n) + glk_coords(A1, n) + [a1])
 
 
-def _from_coords(n, sl, c):
-    d = n * n - 1
-    A0 = {}
-    A1 = {}
-    for t in range(1, 1 + 2 * d):
-        x = c[t]
-        if x:
-            A = A0 if t <= d else A1
-            for key, v in sl[(t - 1) % d].items():
-                A[key] = A.get(key, 0) + x * v
-    return (n, c[0], {k: v for k, v in A0.items() if v},
-            c[-1], {k: v for k, v in A1.items() if v})
-
-
 def _coordinate_maps(n):
     """The product and the bracket as maps of module coordinate vectors."""
     sl, _ = glk_basis(n)
+    d = len(sl)
+
+    def from_coords(c):
+        return (n, c[0], glk_matrix(c[1:1 + d], sl),
+                c[-1], glk_matrix(c[1 + d:1 + 2 * d], sl))
 
     def on_coords(op):
-        return lambda u, v: _coords(op(_from_coords(n, sl, u),
-                                       _from_coords(n, sl, v)))
+        return lambda u, v: _coords(op(from_coords(u), from_coords(v)))
 
     return on_coords(gln_product), on_coords(gln_bracket)
-
-
-def _conjugation_action(n, mats):
-    """{name: matrix of X -> PX - XP on both slots} for the named P in mats."""
-    basis = _basis_elements(n)
-    action = {}
-    for name, P in mats.items():
-        cols = []
-        for _, _, A0, _, A1 in basis:
-            C0 = smat_sub(smat_mul(P, A0), smat_mul(A0, P))
-            C1 = smat_sub(smat_mul(P, A1), smat_mul(A1, P))
-            cols.append(_coords((n, 0, C0, 0, C1)))
-        action[name] = Matrix.from_cols(cols, nrows=len(basis))
-    return action
 
 
 def _structure(n, op):
@@ -212,7 +147,7 @@ def gln_axioms(n):
         for j in rng:
             if P.get((i, j), {}) != P.get((j, i), {}):
                 results["commutative"] = False
-            if _sadd(L.get((i, j), {}), L.get((j, i), {})):
+            if smat_add(L.get((i, j), {}), L.get((j, i), {})):
                 results["jacobi"] = False  # antisymmetry is part of Jacobi here
     for i in rng:
         for j in rng:
@@ -221,14 +156,14 @@ def gln_axioms(n):
             for k in rng:
                 if right(P, pij, k) != left(P, i, P.get((j, k), {})):
                     results["associative"] = False
-                t = _sadd(right(L, lij, k),
-                          right(L, L.get((j, k), {}), i),
-                          right(L, L.get((k, i), {}), j))
+                t = smat_add(right(L, lij, k),
+                             right(L, L.get((j, k), {}), i),
+                             right(L, L.get((k, i), {}), j))
                 if t:
                     results["jacobi"] = False
                 lhs = left(L, i, P.get((j, k), {}))
-                rhs = _sadd(right(P, lij, k),
-                            left(P, j, L.get((i, k), {})))
+                rhs = smat_add(right(P, lij, k),
+                               left(P, j, L.get((i, k), {})))
                 if lhs != rhs:
                     results["leibniz"] = False
     return results
@@ -254,43 +189,20 @@ GLN_BRACKET_TABLE = {
 }
 
 
-def _gln_module(n):
-    """The 2n^2-dimensional module with GL(n) acting by simultaneous
-    conjugation on both slots (ad operators E_pq on coordinates)."""
-    mats = {"E_%d%d" % (p + 1, q + 1): {(p, q): 1}
-            for p in range(n) for q in range(n)}
-    return GModule("GLk", 2 * n * n, _conjugation_action(n, mats))
-
-
 def gln_tables(n):
     """The two 4x4 tables of the family under the GL(n) labeling.
 
-    At n = 2 the symmetric intertwiner vanishes, so the (sl_0, sl_0) product
-    cell is empty there.
+    The module is triv + adj + adj + triv of the registry's models: GL(n)
+    conjugates both slots.  At n = 2 the symmetric intertwiner vanishes, so
+    the (sl_0, sl_0) product cell is empty there.
     """
     if n < 2:
         raise ValueError("n >= 2")
     reg = builtin_labeling("GLk", k=n)
-    gk = "GL%d" % n
-    module = _gln_module(n)
-    dim = module.dim
-    d = n * n - 1
+    triv, adj = IrrepId("GL%d" % n, "trivial"), IrrepId("GL%d" % n, "adjoint")
+    dec = block_decomposition(reg, [("(I_n)_0", triv), ("sl(n)_0", adj),
+                                    ("sl(n)_ab", adj), ("(I_n)_ab", triv)])
     product, brk = _coordinate_maps(n)
-
-    def block_tau(offset, width):
-        cols = []
-        for i in range(width):
-            col = [0] * dim
-            col[offset + i] = 1
-            cols.append(col)
-        return Matrix.from_cols(cols, nrows=dim)
-
-    dec = Decomposition(module, reg, [
-        Summand("(I_n)_0", IrrepId(gk, "trivial"), block_tau(0, 1)),
-        Summand("sl(n)_0", IrrepId(gk, "adjoint"), block_tau(1, d)),
-        Summand("sl(n)_ab", IrrepId(gk, "adjoint"), block_tau(1 + d, d)),
-        Summand("(I_n)_ab", IrrepId(gk, "trivial"), block_tau(1 + 2 * d, 1)),
-    ])
     tp = extract(product, dec, reg)
     tb = extract(brk, dec, reg, op_symbol="{,}")
     want_p = dict(GLN_PRODUCT_TABLE)
@@ -309,8 +221,13 @@ def gln_sl2_tables(n=3):
     if n != 3:
         raise ValueError("the corner-SL(2) decomposition is built for n = 3")
     reg = builtin_labeling("SL2")
-    embed = {"E": {(0, 1): 1}, "H": {(0, 0): 1, (1, 1): -1}, "F": {(1, 0): 1}}
-    module = GModule("SL2", 2 * n * n, _conjugation_action(n, embed))
+    sl, _ = glk_basis(n)
+    zero = Matrix.zeros(1, 1)
+    action = {}
+    for op, P in CORNER_SL2.items():
+        ad = glk_ad(P, n, sl)
+        action[op] = Matrix.block_diag([zero, ad, ad, zero])
+    module = GModule("SL2", 2 * n * n, action)
     product, brk = _coordinate_maps(n)
 
     Z = {(0, 0): 1, (1, 1): 1, (2, 2): -2}

@@ -22,10 +22,16 @@ from .exactla import (
     ColumnSolver,
     Matrix,
     canon,
+    join_terms,
     scalar_from_str,
     scalar_to_str,
 )
-from .repkit import Decomposition, IntertwinerRegistry, _unit
+from .repkit import (
+    Decomposition,
+    IntertwinerRegistry,
+    _unit,
+    equivariance_failure,
+)
 
 
 class GTableError(Exception):
@@ -213,21 +219,13 @@ def _candidate_system(registry, i1, i2, target_dec):
 
 def _check_product_equivariance(product, module, target_module):
     n = module.dim
-    units = [_unit(n, i) for i in range(n)]
-    for op, X in module.action.items():
-        Y = target_module.action[op]
-        for i in range(n):
-            for j in range(n):
-                if module.group == "S3":
-                    lhs = product(X.col(i), X.col(j))
-                else:
-                    a = product(X.col(i), units[j])
-                    b = product(units[i], X.col(j))
-                    lhs = tuple(x + y for x, y in zip(a, b))
-                if tuple(lhs) != tuple(Y.matvec(product(units[i], units[j]))):
-                    raise NotEquivariant(
-                        "product fails equivariance at operator %s, basis "
-                        "pair (%d, %d)" % (op, i, j))
+    ops = [(op, X, X, target_module.action[op])
+           for op, X in module.action.items()]
+    bad = equivariance_failure(product, n, n, ops, module.group)
+    if bad is not None:
+        raise NotEquivariant(
+            "product fails equivariance at operator %s, basis pair (%d, %d)"
+            % bad)
 
 
 def product_from_structure(n, triples):
@@ -576,10 +574,7 @@ def _cell_text(table, r1, r2):
         d = table.registry.d(e1, e2, table.target.by_id[s].irrep)
         name = s if d == 1 else "%s[%d]" % (s, q)
         bits.append(_coeff_name(c, name))
-    out = bits[0]
-    for b in bits[1:]:
-        out += " - " + b[1:] if b.startswith("-") else " + " + b
-    return out
+    return join_terms(bits)
 
 
 def to_text(table: GTable) -> str:
@@ -632,10 +627,7 @@ def _cell_latex(table, r1, r2):
             bits.append("-" + name)
         else:
             bits.append("%s\\,%s" % (_latex_scalar(c), name))
-    out = bits[0]
-    for b in bits[1:]:
-        out += " - " + b[1:] if b.startswith("-") else " + " + b
-    return "$%s$" % out
+    return "$%s$" % join_terms(bits)
 
 
 def to_latex(table: GTable) -> str:

@@ -12,6 +12,10 @@ Three labelings are built in:
 
 A separate SL2 labeling by homogeneous polynomial degree (models K[x,y]_r,
 intertwiner = polynomial multiplication) supports graded polynomial algebras.
+
+The GL(k) labeling and the gallery share one kit on sparse {(i, j): c}
+matrices (smat_*, glk_coords and its inverse glk_matrix, glk_ad), and a
+direct sum of models with its block inclusions is block_decomposition.
 """
 
 from __future__ import annotations
@@ -104,34 +108,45 @@ class IntertwinerRegistry:
         """
         for (i1, i2, j), maps in self.maps.items():
             m1, m2, mj = self.models[i1], self.models[i2], self.models[j]
+            ops = [(op, m1.action[op], m2.action[op], mj.action[op])
+                   for op in mj.action]
             for m in maps:
-                for op in mj.action:
-                    A1, A2, Aj = m1.action[op], m2.action[op], mj.action[op]
-                    for a in range(m1.dim):
-                        u = _unit(m1.dim, a)
-                        for b in range(m2.dim):
-                            v = _unit(m2.dim, b)
-                            if self.group == "S3":
-                                lhs = m.apply(A1.matvec(u), A2.matvec(v))
-                                rhs = Aj.matvec(m.apply(u, v))
-                            else:
-                                lhs = _vadd(m.apply(A1.matvec(u), v),
-                                            m.apply(u, A2.matvec(v)))
-                                rhs = Aj.matvec(m.apply(u, v))
-                            if lhs != rhs:
-                                raise AssertionError(
-                                    "non-equivariant map %r at op %s" % (m, op))
+                bad = equivariance_failure(m.apply, m1.dim, m2.dim, ops,
+                                           self.group)
+                if bad is not None:
+                    raise AssertionError(
+                        "non-equivariant map %r at op %s" % (m, bad[0]))
         return True
+
+
+def equivariance_failure(f, d1, d2, ops, group):
+    """The first (op, a, b) at which the bilinear map f fails to intertwine,
+    or None.
+
+    ``ops`` lists (op, A1, A2, A) with the actions on the two arguments and
+    on the values.  On basis vectors e_a, e_b the check is
+    f(A1 e_a, A2 e_b) == A f(e_a, e_b) for S3 (group elements) and
+    f(A1 e_a, e_b) + f(e_a, A2 e_b) == A f(e_a, e_b) otherwise (derivations).
+    """
+    for op, A1, A2, A in ops:
+        for a in range(d1):
+            u = _unit(d1, a)
+            Au = A1.col(a)
+            for b in range(d2):
+                v = _unit(d2, b)
+                if group == "S3":
+                    lhs = tuple(f(Au, A2.col(b)))
+                else:
+                    lhs = tuple(x + y for x, y in zip(f(Au, v), f(u, A2.col(b))))
+                if lhs != A.matvec(f(u, v)):
+                    return op, a, b
+    return None
 
 
 def _unit(n, i):
     v = [0] * n
     v[i] = 1
     return tuple(v)
-
-
-def _vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +444,17 @@ def glk_coords(A, k):
     return coords
 
 
+def glk_matrix(coords, basis):
+    """The sparse matrix sum of coords[t] * basis[t]; with ``basis`` from
+    glk_basis(k), the inverse of glk_coords."""
+    A = {}
+    for x, B in zip(coords, basis):
+        if x:
+            for key, v in B.items():
+                A[key] = A.get(key, 0) + x * v
+    return {key: v for key, v in A.items() if v}
+
+
 def smat_mul(A, B):
     """Sparse {(i,j): c} matrix product."""
     rows = {}
@@ -442,19 +468,61 @@ def smat_mul(A, B):
     return {key: v for key, v in out.items() if v}
 
 
-def smat_sub(A, B):
-    out = dict(A)
-    for key, v in B.items():
-        w = out.get(key, 0) - v
-        if w:
-            out[key] = w
-        else:
-            out.pop(key, None)
+def smat_add(*mats):
+    """Sum of sparse {key: c} matrices (or vectors), zeros dropped."""
+    out = {}
+    for M in mats:
+        for key, v in M.items():
+            w = out.get(key, 0) + v
+            if w:
+                out[key] = w
+            else:
+                out.pop(key, None)
     return out
+
+
+def smat_scale(a, A):
+    return {key: a * v for key, v in A.items()} if a else {}
 
 
 def smat_trace(A, k):
     return sum(A.get((i, i), 0) for i in range(k))
+
+
+def smat_trace_prod(A, B):
+    """tr(AB) = sum of A_ij B_ji, without forming AB."""
+    acc = 0
+    for (i, j), a in A.items():
+        b = B.get((j, i))
+        if b is not None:
+            acc += a * b
+    return acc
+
+
+def smat_comm(A, B):
+    """The commutator [A, B] = AB - BA."""
+    out = smat_mul(A, B)
+    for key, v in smat_mul(B, A).items():
+        w = out.get(key, 0) - v
+        if w:
+            out[key] = w
+        else:
+            del out[key]
+    return out
+
+
+def smat_sym(A, B, k):
+    """AB + BA - (2/k) tr(AB) I, the traceless symmetric product."""
+    t = div(2 * smat_trace_prod(A, B), k)
+    return smat_add(smat_mul(A, B), smat_mul(B, A),
+                    {(i, i): -t for i in range(k)})
+
+
+def glk_ad(P, k, basis):
+    """Matrix of X -> [P, X] on sl(k) in glk_basis coordinates, for any
+    sparse k x k matrix P; ``basis`` is glk_basis(k)[0]."""
+    return Matrix.from_cols([glk_coords(smat_comm(P, B), k) for B in basis],
+                            nrows=len(basis))
 
 
 def _glk_labeling(k):
@@ -463,16 +531,8 @@ def _glk_labeling(k):
     iad = IrrepId(gk, "adjoint")
     basis, names = glk_basis(k)
     dim = k * k - 1
-
-    def ad_op(P):
-        cols = [glk_coords(smat_sub(smat_mul(P, B), smat_mul(B, P)), k)
-                for B in basis]
-        return Matrix.from_cols(cols, nrows=dim)
-
-    action = {}
-    for p in range(k):
-        for q in range(k):
-            action["E_%d%d" % (p + 1, q + 1)] = ad_op({(p, q): 1})
+    action = {"E_%d%d" % (p + 1, q + 1): glk_ad({(p, q): 1}, k, basis)
+              for p in range(k) for q in range(k)}
     triv = ModelIrrep(i0, 1, {op: Matrix.zeros(1, 1) for op in action},
                       basis_names=["1"])
     adj = ModelIrrep(iad, dim, action, basis_names=names)
@@ -482,29 +542,15 @@ def _glk_labeling(k):
         cols = [fun(A, B) for A in basis for B in basis]
         return Matrix.from_cols(cols, nrows=dout)
 
-    def f_trace(A, B):
-        return [smat_trace(smat_mul(A, B), k)]
-
-    def f_comm(A, B):
-        return glk_coords(smat_sub(smat_mul(A, B), smat_mul(B, A)), k)
-
-    def f_sym(A, B):
-        AB = smat_mul(A, B)
-        BA = smat_mul(B, A)
-        tr = smat_trace(AB, k)
-        S = dict(AB)
-        for key, v in BA.items():
-            S[key] = S.get(key, 0) + v
-        for i in range(k):
-            S[(i, i)] = S.get((i, i), 0) - div(2 * tr, k)
-        return glk_coords(S, k)
-
     maps = {}
     _unit_maps(models, maps)
-    maps[(iad, iad, i0)] = [Intertwiner(iad, iad, i0, 1, bilinear(f_trace, 1))]
-    ad_maps = [Intertwiner(iad, iad, iad, 1, bilinear(f_comm, dim))]
+    maps[(iad, iad, i0)] = [Intertwiner(
+        iad, iad, i0, 1, bilinear(lambda A, B: [smat_trace_prod(A, B)], 1))]
+    ad_maps = [Intertwiner(iad, iad, iad, 1, bilinear(
+        lambda A, B: glk_coords(smat_comm(A, B), k), dim))]
     if k > 2:  # the symmetric map vanishes identically at k = 2
-        ad_maps.append(Intertwiner(iad, iad, iad, 2, bilinear(f_sym, dim)))
+        ad_maps.append(Intertwiner(iad, iad, iad, 2, bilinear(
+            lambda A, B: glk_coords(smat_sym(A, B, k), k), dim)))
     maps[(iad, iad, iad)] = ad_maps
     return IntertwinerRegistry("GLk", "glk-partial-k%d" % k, models, maps)
 
@@ -634,6 +680,29 @@ def decompose_sl2(M: GModule, registry: IntertwinerRegistry, hwvs=None) -> Decom
                 hwvs.append((sid, n, v))
     summands = [sl2_summand(M, registry, n, v, sid) for sid, n, v in hwvs]
     return Decomposition(M, registry, summands)
+
+
+def block_decomposition(registry: IntertwinerRegistry, summands) -> Decomposition:
+    """The direct sum of the registry's models, one block per (id, irrep) in
+    ``summands``, decomposed by the block inclusions.
+
+    The module acts by the block-diagonal matrices of the model actions.  A
+    summand whose model has a highest weight vector (SL2) records its weight.
+    """
+    models = [registry.models[irrep] for _, irrep in summands]
+    dim = sum(m.dim for m in models)
+    action = {op: Matrix.block_diag([m.action[op] for m in models])
+              for op in models[0].action}
+    module = GModule(registry.group, dim, action)
+    out = []
+    off = 0
+    for (sid, irrep), m in zip(summands, models):
+        tau = Matrix.from_cols([_unit(dim, off + j) for j in range(m.dim)],
+                               nrows=dim)
+        weight = irrep.label if m.hw_vector is not None else None
+        out.append(Summand(sid, irrep, tau, hwv_weight=weight))
+        off += m.dim
+    return Decomposition(module, registry, out)
 
 
 def s3_isotypic_projector(M: GModule, char):

@@ -34,6 +34,7 @@ from .exactla import (
     Subspace,
     canon,
     coords_modulo,
+    join_terms,
     kernel,
     rref,
     scalar_to_str,
@@ -530,10 +531,7 @@ def element_to_text(elt: BigradedElement, ctx: ComplexContext) -> str:
             bits.append("-" + mono)
         else:
             bits.append("%s %s" % (scalar_to_str(c), mono))
-    out = bits[0]
-    for b in bits[1:]:
-        out += " - " + b[1:] if b.startswith("-") else " + " + b
-    return out
+    return join_terms(bits)
 
 
 def element_to_json(elt: BigradedElement):

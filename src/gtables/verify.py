@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import supercochain as sc
-from .exactla import AmbiguousCoordinates, Matrix, Subspace, kernel, rref
+from .exactla import AmbiguousCoordinates, Matrix, Subspace, kernel, rref, solve
 from .gtable import (
     ExpandedAlgebra,
     GMatrix,
@@ -28,9 +28,9 @@ from .gtable import (
 )
 from .repkit import (
     Decomposition,
-    GModule,
     IrrepId,
     Summand,
+    block_decomposition,
     builtin_labeling,
 )
 
@@ -39,42 +39,15 @@ F = Fraction
 COEFF_POOL = [F(0), F(0), F(0), F(1), F(-1), F(2), F(-2), F(1, 2)]
 
 
-def _block_module(registry, irreps):
-    models = [registry.models[i] for i in irreps]
-    dim = sum(m.dim for m in models)
-    ops = list(models[0].action)
-    action = {}
-    for op in ops:
-        rows = [[F(0)] * dim for _ in range(dim)]
-        off = 0
-        for m in models:
-            A = m.action[op]
-            for i in range(m.dim):
-                for j in range(m.dim):
-                    rows[off + i][off + j] = A[i, j]
-            off += m.dim
-        action[op] = Matrix.from_rows(rows)
-    return GModule(registry.group, dim, action)
-
-
 def random_galgebra(rng, registry, irrep_pool, n_summands, prefix="A"):
     """(decomposition, table entries, product callable) for a random algebra."""
     irreps = [irrep_pool[rng.randrange(len(irrep_pool))] for _ in range(n_summands)]
-    module = _block_module(registry, irreps)
-    summands = []
-    off = 0
-    for t, irr in enumerate(irreps):
-        model = registry.models[irr]
-        scale = F(rng.choice([1, 1, 2, -1]), rng.choice([1, 1, 2]))
-        cols = []
-        for j in range(model.dim):
-            col = [F(0)] * module.dim
-            col[off + j] = scale
-            cols.append(col)
-        summands.append(Summand("%s%d" % (prefix, t), irr,
-                                Matrix.from_cols(cols, nrows=module.dim)))
-        off += model.dim
-    dec = Decomposition(module, registry, summands)
+    blocks = block_decomposition(
+        registry, [("%s%d" % (prefix, t), irr) for t, irr in enumerate(irreps)])
+    summands = [Summand(s.id, s.irrep, s.tau.scale(
+                    F(rng.choice([1, 1, 2, -1]), rng.choice([1, 1, 2]))))
+                for s in blocks.summands]
+    dec = Decomposition(blocks.module, registry, summands)
     entries = {}
     for r1 in summands:
         for r2 in summands:
@@ -392,9 +365,7 @@ def cohomology_mismatches(ctx):
 
 
 def _suite_exactla():
-    import random as _r
-    from .exactla import solve
-    rng = _r.Random(5)
+    rng = random.Random(5)
     ok = True
     for _ in range(60):
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)

@@ -11,6 +11,7 @@ from gtables.exactla import (
     canon,
     coords_modulo,
     div,
+    join_terms,
     kernel,
     rref,
     scalar_from_str,
@@ -59,6 +60,44 @@ def test_float_and_bool_are_not_scalars(bad):
                  lambda: Subspace(2, [[1, bad]])):
         with pytest.raises(TypeError):
             make()
+
+
+def test_rref_rejects_a_float_entry():
+    with pytest.raises(TypeError, match="exact scalar expected"):
+        rref([{0: 0.5}], 1)
+
+
+def test_solve_rejects_a_float_right_hand_side():
+    with pytest.raises(TypeError, match="exact scalar expected"):
+        solve(Matrix.identity(1), [0.5])
+
+
+def test_column_solver_rejects_a_bool_right_hand_side():
+    with pytest.raises(TypeError, match="exact scalar expected"):
+        ColumnSolver([{0: 1}], 1).solve((True,))
+
+
+def test_join_terms():
+    assert join_terms(["-a"]) == "-a"
+    assert join_terms(["a", "-b", "2 c", "-1/2 d"]) == "a - b + 2 c - 1/2 d"
+
+
+def test_block_diag_matches_dense_build():
+    rng = random.Random(13)
+    for _ in range(30):
+        blocks = [rand_matrix(rng, rng.randint(1, 3), rng.randint(1, 3))
+                  for _ in range(rng.randint(1, 4))]
+        ncols = sum(B.ncols for B in blocks)
+        rows = []
+        off = 0
+        for B in blocks:
+            for i in range(B.nrows):
+                row = [0] * ncols
+                for j in range(B.ncols):
+                    row[off + j] = B[i, j]
+                rows.append(row)
+            off += B.ncols
+        assert Matrix.block_diag(blocks) == Matrix.from_rows(rows, ncols)
 
 
 def test_kernel_zero_map():

@@ -223,6 +223,15 @@ def test_gln_tables_fixture():
     assert tb2.cell("sl(n)_0", "sl(n)_0") == (("sl(n)_0", 1, F(1)),)
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_gln_tables_fixture_larger_n(n):
+    # gln_tables compares every cell with the reference tables
+    tp, tb = gln_tables(n)
+    assert tp.source.module.dim == 2 * n * n
+    assert tp.cell("sl(n)_0", "sl(n)_0") == (("sl(n)_ab", 2, 1),)
+    assert tb.cell("sl(n)_0", "sl(n)_ab") == (("sl(n)_ab", 1, 1),)
+
+
 # -- the isomorphism ----------------------------------------------------------
 
 EXPECTED_ISO = {

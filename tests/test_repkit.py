@@ -3,23 +3,30 @@ from fractions import Fraction
 
 import pytest
 
-from gtables.exactla import Matrix
+from gtables.exactla import Matrix, solve
 from gtables.repkit import (
     Decomposition,
     GModule,
     IrrepId,
     NonDiagonalizableH,
     S3_ELEMENTS,
+    Intertwiner,
+    block_decomposition,
     builtin_labeling,
     decompose_s3,
     decompose_sl2,
+    glk_ad,
     glk_basis,
     glk_coords,
+    glk_matrix,
     group_algebra_s3_conjugation,
     highest_weight_vectors,
     s3_compose,
     s3_inverse,
     sl2_poly_labeling,
+    smat_comm,
+    smat_sym,
+    smat_trace_prod,
 )
 
 F = Fraction
@@ -122,6 +129,90 @@ def test_glk_sym_map_against_matrix_formula():
         ua = tuple(F(1 if t == a else 0) for t in range(len(dense)))
         ub = tuple(F(1 if t == b else 0) for t in range(len(dense)))
         assert list(msym.apply(ua, ub)) == glk_coords(S, k)
+
+
+def _dense(A, k):
+    return [[A.get((i, j), 0) for j in range(k)] for i in range(k)]
+
+
+def _dense_mul(A, B):
+    k = len(A)
+    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(k)]
+            for i in range(k)]
+
+
+def _random_sparse(rng, k):
+    A = {(i, j): F(rng.randint(-3, 3), rng.randint(1, 2))
+         for i in range(k) for j in range(k) if rng.random() < 0.6}
+    return {key: v for key, v in A.items() if v}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_glk_kit_against_dense_matrices(k):
+    # independent oracle: dense list-of-lists arithmetic, and coordinates
+    # solved against the dense basis matrices rather than read off
+    rng = random.Random(40 + k)
+    basis, _ = glk_basis(k)
+    dbasis = [_dense(b, k) for b in basis]
+    flat = lambda M: [x for row in M for x in row]
+    B = Matrix.from_cols([flat(D) for D in dbasis], nrows=k * k)
+
+    def coords(M):
+        x, K = solve(B, flat(M))
+        assert K.dim == 0
+        return list(x)
+
+    for _ in range(12):
+        A, C = _random_sparse(rng, k), _random_sparse(rng, k)
+        dA, dC = _dense(A, k), _dense(C, k)
+        AC, CA = _dense_mul(dA, dC), _dense_mul(dC, dA)
+        tr = sum(AC[i][i] for i in range(k))
+        assert smat_trace_prod(A, C) == tr
+        comm = smat_comm(A, C)
+        assert 0 not in comm.values()
+        assert _dense(comm, k) == [[AC[i][j] - CA[i][j] for j in range(k)]
+                                   for i in range(k)]
+        sym = smat_sym(A, C, k)
+        assert 0 not in sym.values()
+        assert _dense(sym, k) == [
+            [AC[i][j] + CA[i][j] - (F(2, k) * tr if i == j else 0)
+             for j in range(k)] for i in range(k)]
+        # ad(A) on a random traceless X, through its coordinates
+        x = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in basis]
+        dX = [[sum(c * D[i][j] for c, D in zip(x, dbasis)) for j in range(k)]
+              for i in range(k)]
+        XA = _dense_mul(dX, dA)
+        AX = _dense_mul(dA, dX)
+        want = coords([[AX[i][j] - XA[i][j] for j in range(k)]
+                       for i in range(k)])
+        assert list(glk_ad(A, k, basis).matvec(x)) == want
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_glk_matrix_and_glk_coords_round_trip(k):
+    rng = random.Random(50 + k)
+    basis, _ = glk_basis(k)
+    for _ in range(20):
+        c = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in basis]
+        A = glk_matrix(c, basis)
+        assert 0 not in A.values()
+        assert glk_coords(A, k) == c
+        T = _random_sparse(rng, k)
+        T[(k - 1, k - 1)] = T.get((k - 1, k - 1), 0) - sum(
+            T.get((i, i), 0) for i in range(k))
+        T = {key: v for key, v in T.items() if v}
+        assert glk_matrix(glk_coords(T, k), basis) == T
+
+
+def test_check_equivariance_names_the_broken_map():
+    for group, i1, i2, j, rows in [
+            ("SL2", 1, 1, 0, [[1, 0, 0, 0]]),
+            ("S3", "std", "std", "tr", [[1, 0, 0, 0]])]:
+        reg = builtin_labeling(group)
+        t = (IrrepId(group, i1), IrrepId(group, i2), IrrepId(group, j))
+        reg.maps[t] = [Intertwiner(*t, 1, Matrix.from_rows(rows))]
+        with pytest.raises(AssertionError, match="non-equivariant map .* at op"):
+            reg.check_equivariance()
 
 
 def test_s3_intertwiner_values():
@@ -313,9 +404,8 @@ def test_decomposition_checks_every_operator():
 
 
 def test_in_tree_modules_validated_on_load(monkeypatch):
+    from gtables.gallery import gln_tables
     from gtables.gallery.fixtures import _mk_module_and_product
-    from gtables.gallery.glnfamily import _gln_module
-    from gtables.verify import _block_module
     validated = []
     original = GModule.validate
 
@@ -327,10 +417,12 @@ def test_in_tree_modules_validated_on_load(monkeypatch):
     sl2 = builtin_labeling("SL2")
     gl3 = builtin_labeling("GLk", k=3)
     built = [
-        _gln_module(3),
+        gln_tables(3)[0].source.module,
         _mk_module_and_product(3)[1].module,
-        _block_module(sl2, [IrrepId("SL2", 1), IrrepId("SL2", 2)]),
-        _block_module(gl3, [IrrepId("GL3", "trivial"), IrrepId("GL3", "adjoint")]),
+        block_decomposition(sl2, [("a", IrrepId("SL2", 1)),
+                                  ("b", IrrepId("SL2", 2))]).module,
+        block_decomposition(gl3, [("a", IrrepId("GL3", "trivial")),
+                                  ("b", IrrepId("GL3", "adjoint"))]).module,
     ]
     for module in built:
         assert any(m is module for m in validated), module
