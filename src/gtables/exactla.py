@@ -58,6 +58,16 @@ def scalar_to_str(x) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
+def signed_term(c, name, scalar=scalar_to_str, sep=" ") -> str:
+    """The term c * name for ``join_terms``: name for 1, -name for -1, else
+    the scalar as ``scalar`` renders it, then sep, then name."""
+    if c == 1:
+        return name
+    if c == -1:
+        return "-" + name
+    return scalar(c) + sep + name
+
+
 def join_terms(terms) -> str:
     """Rendered terms joined by " + ", or by " - " before a term with a
     leading minus sign, whose sign it takes over."""
@@ -101,7 +111,8 @@ def rref(rows, ncols):
     pivots = []
     prev = 1
     r = 0
-    for c in range(ncols):
+    # fill-in stays within the columns the rows hold: only those can pivot
+    for c in sorted(j for j in set().union(*m) if j < ncols):
         pr = None
         for i in range(r, nrows):
             if m[i].get(c, 0) != 0:
@@ -228,6 +239,12 @@ class Matrix:
 
     def col(self, j):
         return tuple(r.get(j, 0) for r in self._rows)
+
+    def entries(self):
+        """The nonzero entries as (i, j, x), row by row."""
+        for i, r in enumerate(self._rows):
+            for j, x in r.items():
+                yield i, j, x
 
     def rows_list(self):
         return [list(self.row(i)) for i in range(self.nrows)]
@@ -458,7 +475,7 @@ class ColumnSolver:
         """
         if len(z) != self.n:
             raise ValueError("right-hand side must have length %d" % self.n)
-        z = list(map(canon, z))
+        z = [v if type(v) is int else canon(v) for v in z]
         x = [0] * len(self._cols)
         for p, e in self._inv:
             zp = z[p]

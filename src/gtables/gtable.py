@@ -3,14 +3,15 @@
 A table stores, per pair of source summands (r1, r2), the coefficients
 c_{r1,r2}^{s,q} of the product restricted to image(tau_r1) (x) image(tau_r2),
 in the basis tau_s o m_q o (tau_r1 (x) tau_r2)^{-1} built from a labeling.
-Extraction solves for the coefficients exactly on a full basis, so a solved
+Both directions work in the target's model coordinates, where tau_s is only
+the offset of s in the concatenated basis (the columns of a decomposition's
+basis matrix are the images tau_s(e_j)), and both read the candidate columns
+tau_s o m_q from one builder.  Expansion sums them, weighted by a cell.
+Extraction writes the product in model coordinates once, with the inverse of
+the basis matrix, and solves for the cell exactly on a full basis, so a solved
 table certifies that the product is equivariant, and an inconsistent system
 doubles as a non-equivariance (or wrong-registry) detector: only then is the
 product checked operator by operator, to tell the two apart.
-
-Expansion needs no inverse: the columns of a decomposition's basis matrix are
-the images tau_s(e_j), so tau_s(w) has the coordinates w placed at the offset
-of s in the concatenated basis.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .exactla import (
     join_terms,
     scalar_from_str,
     scalar_to_str,
+    signed_term,
 )
 from .repkit import (
     Decomposition,
@@ -105,8 +107,8 @@ class GTable:
 
 
 def extract(product, dec: Decomposition, registry: IntertwinerRegistry,
-            target_dec: Decomposition | None = None, op_symbol="*") -> GTable:
-    """Coefficients of an equivariant bilinear map over the decompositions.
+            op_symbol="*") -> GTable:
+    """Coefficients of an equivariant bilinear map over the decomposition.
 
     ``product`` maps two module coordinate vectors to one (bilinear).  The
     solved coefficients reproduce the product exactly on every basis pair,
@@ -114,61 +116,63 @@ def extract(product, dec: Decomposition, registry: IntertwinerRegistry,
     (the solve failed and the product fails equivariance on some operator and
     basis pair), InconsistentSystem (no exact solution although the product
     is equivariant: wrong decomposition or wrong registry), AmbiguousSystem
-    (dependent candidate intertwiner images; a defect of the registry, raised
-    whether or not the product is equivariant).
+    (dependent candidate intertwiner images, as when the registry holds a
+    zero map or one map twice; a defect of the registry, raised whether or
+    not the product is equivariant).
     """
-    target_dec = target_dec or dec
     try:
-        entries = _solve_cells(product, dec, registry, target_dec)
+        entries = _solve_cells(product, dec, registry)
     except InconsistentSystem:
-        _check_product_equivariance(product, dec.module, target_dec.module)
+        _check_product_equivariance(product, dec.module)
         raise
-    return GTable(dec, target_dec, registry, entries, op_symbol=op_symbol)
+    return GTable(dec, dec, registry, entries, op_symbol=op_symbol)
 
 
-def _solve_cells(product, dec, registry, target_dec):
+def _solve_cells(product, dec, registry):
     """{(r1, r2): [(s, q, c), ...]} solved exactly per pair of summands.
 
-    The candidate images tau_s o m_q on every basis pair, their deduplicated
-    equation rows and the solver factored over those rows depend only on the
-    registry, the target and the irreps of r1 and r2, so they are built once
-    per irrep pair (``_candidate_system``) and kept on the target
-    decomposition, where later extractions over it find them; each pair of
-    summands then only evaluates the product and back-substitutes.
+    The inverse of the basis matrix, whose columns are the images
+    tau_s(e_k), writes each product value in model coordinates, where
+    extraction is the inverse of ``expand``: the solver over the candidate
+    columns (``_candidate_columns``) depends only on the irreps of r1 and r2,
+    so it is factored once per irrep pair in this call, and its check
+    C x == z on every equation is the one certificate of a solved cell.
+    Dependent candidates raise AmbiguousSystem at the first summand pair of
+    their irrep pair, before the product is evaluated there.
     """
-    systems = target_dec._systems
+    n = dec.module.dim
+    offsets = _offsets(dec)
+    # coordinates of a module vector w: sum over j of w[j] * column j of B^-1
+    inv_cols = [[] for _ in range(n)]
+    for i, j, x in dec.basis_matrix().inverse().entries():
+        inv_cols[j].append((i, x))
+    images = {s.id: [s.tau.col(a) for a in range(s.tau.ncols)]
+              for s in dec.summands}
+    solvers = {}
     entries = {}
     for r1 in dec.summands:
         d1 = registry.models[r1.irrep].dim
         for r2 in dec.summands:
             d2 = registry.models[r2.irrep].dim
-            key = (registry, r1.irrep, r2.irrep)
-            if key not in systems:
-                systems[key] = _candidate_system(*key, target_dec)
-            cands, covered, rows, solver = systems[key]
-            vs = [r2.tau.col(b) for b in range(d2)]
-            lhs = []
-            for a in range(d1):
-                u = r1.tau.col(a)
-                for v in vs:
-                    lhs.extend(product(u, v))
-            if not cands:
-                if any(lhs):
-                    raise InconsistentSystem(
-                        "product on (%s, %s) is nonzero but the registry "
-                        "reaches no target summand" % (r1.id, r2.id))
-                continue
-            if any(v and t not in covered for t, v in enumerate(lhs)) or any(
-                    lhs[t] != lhs[ts[0]] for ts in rows for t in ts[1:]):
-                raise InconsistentSystem(
-                    "product on (%s, %s) has a component outside the "
-                    "registry's reach" % (r1.id, r2.id))
-            if not rows:
-                continue
-            if solver is None:
-                raise AmbiguousSystem(
-                    "dependent candidate maps at (%s, %s)" % (r1.id, r2.id))
-            x = solver.solve([lhs[ts[0]] for ts in rows])
+            key = (r1.irrep, r2.irrep)
+            if key not in solvers:
+                cands, cols = _candidate_columns(registry, *key, dec, offsets)
+                try:
+                    solvers[key] = cands, ColumnSolver(cols, d1 * d2 * n)
+                except AmbiguousCoordinates:
+                    raise AmbiguousSystem("dependent candidate maps at (%s, %s)"
+                                          % (r1.id, r2.id)) from None
+            cands, solver = solvers[key]
+            z = [0] * (d1 * d2 * n)
+            base = 0
+            for u in images[r1.id]:
+                for v in images[r2.id]:
+                    for j, w in enumerate(product(u, v)):
+                        if w:
+                            for i, x in inv_cols[j]:
+                                z[base + i] += x * w
+                    base += n
+            x = solver.solve(z)
             if x is None:
                 raise InconsistentSystem(
                     "product on (%s, %s) has a component outside the "
@@ -179,48 +183,29 @@ def _solve_cells(product, dec, registry, target_dec):
     return entries
 
 
-def _candidate_system(registry, i1, i2, target_dec):
-    """Candidate maps, deduplicated equation rows and their solver for one
-    pair of irreps.
+def _candidate_columns(registry, i1, i2, target, offsets):
+    """Candidate maps [(s_id, q)] and their sparse columns for one pair of
+    irreps, in the target's model coordinates.
 
-    Equation t = (a * d2 + b) * dim + k is coordinate k of the product on the
-    basis pair (a, b); candidate (s, q) contributes tau_s(m_q(e_a (x) e_b)).
-    Returns (candidates [(s_id, q)], the set of equation indices whose row is
-    nonzero, [equation indices sharing one distinct nonzero row], ColumnSolver
-    over the candidates restricted to those rows, or None when the candidates
-    are dependent there), rows in order of first occurrence: the tensor
-    structure repeats rows heavily, and most rows are zero, so the kept system
-    names only the nonzero ones.  A dependent system raises only when a
-    summand pair reaches the solve, so extraction reports the first pair that
-    needs it.
+    Equation (a * d2 + b) * n + offsets[s] + k is coordinate k of summand s
+    of the product on the basis pair (a, b).  There tau_s is only the offset
+    of s, so the column of (s, q) holds m_q[k, a * d2 + b], read straight
+    off the intertwiner matrix.
     """
+    n = target.module.dim
     cands = []
     cols = []
-    for s in target_dec.summands:
+    for s in target.summands:
+        off = offsets[s.id]
         for qi, m in enumerate(registry.basis(i1, i2, s.irrep)):
-            col = []
-            for t in range(m.matrix.ncols):
-                # m on a unit tensor is a column of its matrix
-                col.extend(s.tau.matvec(m.matrix.col(t)))
             cands.append((s.id, qi + 1))
-            cols.append(col)
-    rows = {}
-    for t, row in enumerate(zip(*cols)):
-        if any(row):
-            rows.setdefault(row, []).append(t)
-    rows = list(rows.values())
-    try:
-        solver = ColumnSolver([{r: col[ts[0]] for r, ts in enumerate(rows)
-                                if col[ts[0]]} for col in cols], len(rows))
-    except AmbiguousCoordinates:
-        solver = None
-    return cands, frozenset(t for ts in rows for t in ts), rows, solver
+            cols.append({t * n + off + k: x for k, t, x in m.matrix.entries()})
+    return cands, cols
 
 
-def _check_product_equivariance(product, module, target_module):
+def _check_product_equivariance(product, module):
     n = module.dim
-    ops = [(op, X, X, target_module.action[op])
-           for op, X in module.action.items()]
+    ops = [(op, X, X, X) for op, X in module.action.items()]
     bad = equivariance_failure(product, n, n, ops, module.group)
     if bad is not None:
         raise NotEquivariant(
@@ -287,38 +272,41 @@ def _offsets(dec):
 def expand(table: GTable) -> ExpandedAlgebra:
     """Structure constants of the table on the concatenated model bases.
 
-    The columns of the target's basis matrix are the images tau_s(e_j), so
-    the coordinates of tau_s(w) are w placed at the offset of s.  The row of
-    the basis pair (offset(r1) + a, offset(r2) + b) is therefore the sum over
-    the cell of c * m_q(e_a (x) e_b), each shifted to the offset of s; no
-    module vector is formed.
+    The inverse of extraction: the constants of the basis pair
+    (offset(r1) + a, offset(r2) + b) are the sum over the cell of c times the
+    candidate column of (s, q) (``_candidate_columns``) on the equations of
+    (a, b); no module vector is formed.
     """
     src = table.source
     tgt = table.target
     reg = table.registry
+    n = tgt.module.dim
     src_off = _offsets(src)
     tgt_off = _offsets(tgt)
+    columns = {}
     struct = {}
     for r1 in src.summands:
-        d1 = reg.models[r1.irrep].dim
         for r2 in src.summands:
-            d2 = reg.models[r2.irrep].dim
-            cell = [(c, tgt_off[sid],
-                     reg.basis(r1.irrep, r2.irrep,
-                               tgt.by_id[sid].irrep)[q - 1].matrix)
-                    for (sid, q, c) in table.cell(r1.id, r2.id)]
+            cell = table.cell_dict(r1.id, r2.id)
             if not cell:
                 continue
-            for a in range(d1):
-                for b in range(d2):
-                    acc = {}
-                    for c, off, M in cell:
-                        for k, x in enumerate(M.col(a * d2 + b)):
-                            if x:
-                                acc[off + k] = acc.get(off + k, 0) + c * x
-                    row = {k: canon(acc[k]) for k in sorted(acc) if acc[k]}
-                    if row:
-                        struct[(src_off[r1.id] + a, src_off[r2.id] + b)] = row
+            key = (r1.irrep, r2.irrep)
+            if key not in columns:
+                columns[key] = _candidate_columns(reg, *key, tgt, tgt_off)
+            acc = {}
+            for cand, col in zip(*columns[key]):
+                c = cell.get(cand)
+                if c:
+                    for e, x in col.items():
+                        acc[e] = acc.get(e, 0) + c * x
+            d2 = reg.models[r2.irrep].dim
+            for e in sorted(acc):
+                y = canon(acc[e])
+                if y:
+                    t, k = divmod(e, n)
+                    a, b = divmod(t, d2)
+                    struct.setdefault((src_off[r1.id] + a, src_off[r2.id] + b),
+                                      {})[k] = y
     return ExpandedAlgebra(src.basis_index(), struct)
 
 
@@ -555,14 +543,6 @@ def cotable(delta, dec: Decomposition, registry: IntertwinerRegistry) -> GTable:
 # ---------------------------------------------------------------------------
 # rendering
 
-def _coeff_name(c, name):
-    if c == 1:
-        return name
-    if c == -1:
-        return "-" + name
-    return "%s %s" % (scalar_to_str(c), name)
-
-
 def _cell_text(table, r1, r2):
     cell = table.cell(r1, r2)
     if not cell:
@@ -573,7 +553,7 @@ def _cell_text(table, r1, r2):
     for (s, q, c) in cell:
         d = table.registry.d(e1, e2, table.target.by_id[s].irrep)
         name = s if d == 1 else "%s[%d]" % (s, q)
-        bits.append(_coeff_name(c, name))
+        bits.append(signed_term(c, name))
     return join_terms(bits)
 
 
@@ -621,12 +601,7 @@ def _cell_latex(table, r1, r2):
         if d > 1:
             name = (name[:-1] + ",%d}" % q) if name.endswith("}") \
                 else "%s_{%d}" % (name, q)
-        if c == 1:
-            bits.append(name)
-        elif c == -1:
-            bits.append("-" + name)
-        else:
-            bits.append("%s\\,%s" % (_latex_scalar(c), name))
+        bits.append(signed_term(c, name, _latex_scalar, "\\,"))
     return "$%s$" % join_terms(bits)
 
 

@@ -276,8 +276,6 @@ class Decomposition:
         if len(self.by_id) != len(self.summands):
             raise ValueError("duplicate summand ids")
         self._basis = None
-        # gtable.extract's candidate systems, {(registry, irrep, irrep): ...}
-        self._systems = {}
         if validate:
             self.validate()
 

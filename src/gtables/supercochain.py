@@ -38,6 +38,7 @@ from .exactla import (
     kernel,
     rref,
     scalar_to_str,
+    signed_term,
 )
 
 
@@ -188,16 +189,24 @@ def _word_bracket(wa, wb):
     return out
 
 
+def _words(a: BigradedElement):
+    return [(_word(I, J), c) for (I, J), c in a.terms.items()]
+
+
 def bracket(a: BigradedElement, b: BigradedElement) -> BigradedElement:
     """Poisson super bracket, bidegree (-1,-1).
 
     {a, b} = sum_g (a d<-/dg)(d->/dg* b), summed over the generators g and
     their partners g* (xi_i <-> e_i); both kinds of letter take the same sign.
     """
-    words = [(_word(I, J), c) for (I, J), c in b.terms.items()]
+    return _bracket_words(_words(a), b)
+
+
+def _bracket_words(words_a, b):
+    """bracket(a, b) for a given by its words, as ``_words`` returns them."""
+    words = _words(b)
     out = {}
-    for (I1, J1), c1 in a.terms.items():
-        wa = _word(I1, J1)
+    for wa, c1 in words_a:
         for wb, c2 in words:
             for sign, I, J in _word_bracket(wa, wb):
                 out[(I, J)] = out.get((I, J), 0) + sign * c1 * c2
@@ -223,6 +232,7 @@ class ComplexContext:
             raise ValueError("mu must be homogeneous of bidegree (2,1)")
         if not bracket(mu, mu).is_zero():
             raise ValueError("{mu,mu} != 0: structure constants violate Jacobi")
+        self._mu_words = _words(mu)  # built once, read by every differential
 
     @staticmethod
     def from_brackets(n, brackets, gnames=None, gstar_names=None, sl2=None):
@@ -263,7 +273,8 @@ def heisenberg_context() -> ComplexContext:
 
 
 def differential(c: BigradedElement, ctx: ComplexContext) -> BigradedElement:
-    return bracket(ctx.mu, c)
+    """d c = {mu, c}."""
+    return _bracket_words(ctx._mu_words, c)
 
 
 def sl2_act(op, c: BigradedElement, ctx: ComplexContext) -> BigradedElement:
@@ -485,11 +496,9 @@ def cohomology(ctx: ComplexContext, p, q, reps=None):
                              % (betti, len(reps)))
         vecs = []
         for z in reps:
-            if not differential(z, ctx).is_zero():
-                raise NotACocycle("injected representative is not closed")
             v = to_coords(z, basis)
             if not cocycles.contains(v):
-                raise NotACocycle("representative outside the cocycle space")
+                raise NotACocycle("injected representative is not closed")
             vecs.append({i: x for i, x in enumerate(v) if x})
         if len(_independent_modulo(boundary.rows, vecs)) != len(vecs):
             raise ValueError("representatives dependent modulo boundaries")
@@ -524,13 +533,7 @@ def element_to_text(elt: BigradedElement, ctx: ComplexContext) -> str:
         c = elt.terms[(I, J)]
         left = "".join(ctx.gstar_names[i] for i in I) or "1"
         right = "".join(ctx.gnames[j] for j in J) or "1"
-        mono = "%s⊗%s" % (left, right)
-        if c == 1:
-            bits.append(mono)
-        elif c == -1:
-            bits.append("-" + mono)
-        else:
-            bits.append("%s %s" % (scalar_to_str(c), mono))
+        bits.append(signed_term(c, "%s⊗%s" % (left, right)))
     return join_terms(bits)
 
 

@@ -22,7 +22,6 @@ from .gtable import (
     GTable,
     check_morphism,
     corollary_check,
-    expand,
     extract,
     morphism_oracle,
 )
@@ -65,9 +64,10 @@ def random_galgebra(rng, registry, irrep_pool, n_summands, prefix="A"):
 
 
 def _product_from_table(table):
-    # expand() works over the concatenated tau-image basis; translate module
-    # coordinates through the basis matrix on both ends
-    E = expand(table)
+    # the module reference of expand(), which shares extraction's candidate
+    # columns; it works over the concatenated tau-image basis, so module
+    # coordinates are translated through the basis matrix on both ends
+    E = _expand_via_module(table)
     B = table.source.basis_matrix()
     Binv = B.inverse()
     Bt = table.target.basis_matrix()
@@ -228,7 +228,8 @@ def _coords_modulo_rref(z, reps, W):
 
 
 def _expand_via_module(table):
-    """Reference for gtable.expand, which reads the constants off the table.
+    """Reference for gtable.expand, which reads the constants off the table,
+    and the source of the corpus products that extraction must recover.
 
     Maps each candidate image into the target module and takes coordinates
     with the inverse of the target's basis matrix.

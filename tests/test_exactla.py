@@ -16,6 +16,7 @@ from gtables.exactla import (
     rref,
     scalar_from_str,
     scalar_to_str,
+    signed_term,
     solve,
 )
 from gtables.verify import _coords_modulo_rref, _rref_dense
@@ -80,6 +81,20 @@ def test_column_solver_rejects_a_bool_right_hand_side():
 def test_join_terms():
     assert join_terms(["-a"]) == "-a"
     assert join_terms(["a", "-b", "2 c", "-1/2 d"]) == "a - b + 2 c - 1/2 d"
+
+
+def test_signed_term():
+    assert [signed_term(c, "x") for c in (1, -1, 2, F(-1, 2))] == \
+        ["x", "-x", "2 x", "-1/2 x"]
+    assert signed_term(F(3, 2), "x", lambda c: "<%s>" % c, "*") == "<3/2>*x"
+    assert join_terms([signed_term(c, "y") for c in (-1, F(1, 2), -3)]) == \
+        "-y + 1/2 y - 3 y"
+
+
+def test_matrix_entries_are_the_nonzero_entries():
+    A = Matrix.from_rows([[0, 2, 0], [F(1, 2), 0, -1]])
+    assert list(A.entries()) == [(0, 1, 2), (1, 0, F(1, 2)), (1, 2, -1)]
+    assert list(Matrix.zeros(2, 2).entries()) == []
 
 
 def test_block_diag_matches_dense_build():

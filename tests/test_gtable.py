@@ -31,6 +31,7 @@ from gtables.gtable import (
 )
 from gtables.repkit import (
     GModule,
+    Intertwiner,
     IrrepId,
     builtin_labeling,
     decompose_sl2,
@@ -239,40 +240,72 @@ def test_extract_calls_product_once_per_basis_pair():
 
 def _count_systems(monkeypatch):
     built = []
-    real = gtable._candidate_system
+    real = gtable._candidate_columns
 
-    def counted(registry, i1, i2, target_dec):
+    def counted(registry, i1, i2, target, offsets):
         built.append((i1, i2))
-        return real(registry, i1, i2, target_dec)
+        return real(registry, i1, i2, target, offsets)
 
-    monkeypatch.setattr(gtable, "_candidate_system", counted)
+    monkeypatch.setattr(gtable, "_candidate_columns", counted)
     return built
 
 
 def test_extract_builds_one_system_per_irrep_pair(monkeypatch):
-    # systems live on the target decomposition, so the product and the
-    # bracket extraction over one decomposition share them
+    # one solver per irrep pair, kept for the length of one extract call
+    product, brk = _coordinate_maps(3)
+    cases = [(gln_sl2_tables()[0], 100, 9), (gln_tables(3)[0], 16, 4)]
     built = _count_systems(monkeypatch)
-    for tables, pairs, systems in [(gln_sl2_tables, 100, 9),
-                                   (lambda: gln_tables(3), 16, 4)]:
-        built.clear()
-        tp, tb = tables()
-        assert tp.source is tb.source
-        assert len(tp.source.summands) ** 2 == pairs
-        assert len(built) == len(set(built)) == systems
+    for table, pairs, systems in cases:
+        assert len(table.source.summands) ** 2 == pairs
+        for f in (product, brk):
+            built.clear()
+            extract(f, table.source, table.registry)
+            assert len(built) == len(set(built)) == systems
 
 
-def test_second_extract_builds_no_new_system(monkeypatch):
+def test_repeated_extract_gives_equal_tables(monkeypatch):
+    # nothing is kept between calls: each extraction builds its own
+    # systems, and a repeated one gives an equal table
     gc, gb = gln_sl2_tables()
     built = _count_systems(monkeypatch)
     product, brk = _coordinate_maps(3)
     assert extract(product, gc.source, gc.registry) == gc
     assert extract(brk, gb.source, gb.registry, op_symbol="{,}") == gb
-    assert built == []
-    # another registry object is another key, even with the same labeling
+    assert len(built) == 18
     reg = builtin_labeling("SL2")
     assert extract(product, gc.source, reg).entries == gc.entries
-    assert len(built) == 9
+    assert len(built) == 27
+
+
+def test_successful_extract_calls_no_matvec(monkeypatch):
+    tp, _ = gln_tables(3)
+    h_reg, h_dec = heisenberg_dec()
+    cases = [(heisenberg_bracket_product(), h_dec, h_reg),
+             (_coordinate_maps(3)[0], tp.source, tp.registry)]
+    calls = []
+    real = Matrix.matvec
+
+    def counted(self, v):
+        calls.append(self)
+        return real(self, v)
+
+    monkeypatch.setattr(Matrix, "matvec", counted)
+    for product, dec, reg in cases:
+        extract(product, dec, reg)
+    assert calls == []
+
+
+@pytest.mark.parametrize("defect", ["zero", "duplicate"])
+def test_extract_ambiguous_on_zero_or_duplicated_map(defect):
+    reg, dec = heisenberg_dec()
+    t = (IrrepId("SL2", 0), IrrepId("SL2", 1), IrrepId("SL2", 1))
+    m = reg.maps[t][0]
+    if defect == "zero":
+        reg.maps[t] = [Intertwiner(*t, 1, m.matrix.scale(0))]
+    else:
+        reg.maps[t] = [m, m]
+    with pytest.raises(AmbiguousSystem, match="dependent candidate maps"):
+        extract(heisenberg_bracket_product(), dec, reg)
 
 
 def test_extract_inconsistent_names_the_summand_pair():
@@ -378,7 +411,7 @@ def _stored_scalars(table):
     for model in table.registry.models.values():
         mats += list(model.action.values())
     mats += [m.matrix for maps in table.registry.maps.values() for m in maps]
-    out += [x for M in mats for r in M._rows for x in r.values()]
+    out += [x for M in mats for _, _, x in M.entries()]
     return out
 
 

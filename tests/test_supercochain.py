@@ -380,6 +380,33 @@ def test_injected_representatives_are_verified():
         cohomology(ctx, 1, 1, reps=reps11)  # wrong count: betti is 4
 
 
+def test_injected_representative_not_closed():
+    ctx = heisenberg_context()
+    reps, _ = cohomology(ctx, 1, 1)
+    bad = M((2,), (0,))  # h^0 (x) x_1 is not closed
+    assert not differential(bad, ctx).is_zero()
+    with pytest.raises(NotACocycle, match="injected representative is not "
+                                          "closed"):
+        cohomology(ctx, 1, 1, reps=[bad] + reps[1:])
+
+
+def test_differential_reuses_the_words_of_mu(monkeypatch):
+    ctx = heisenberg_context()
+    c = M((0,), (1,)) + M((2,), (0,)) + M((1, 2), (2,), 3)
+    calls = []
+    real = sc._word
+
+    def counted(I, J):
+        calls.append((I, J))
+        return real(I, J)
+
+    monkeypatch.setattr(sc, "_word", counted)
+    assert differential(c, ctx) == bracket(ctx.mu, c)
+    # the words of c, then those of mu and c again for the bracket
+    assert calls[:3] == list(c.terms)
+    assert len(calls) == 3 + len(ctx.mu.terms) + 3
+
+
 def test_injected_representatives_dependent_modulo_boundaries():
     ctx = heisenberg_context()
     reps, boundary = cohomology(ctx, 1, 1)
