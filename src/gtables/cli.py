@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .exactla import Matrix, scalar_from_str, scalar_to_str
+from .exactla import Matrix, canon, scalar_from_str, scalar_to_str
 from .gtable import (
     GTableError,
     cotable,
@@ -140,33 +140,19 @@ def _cmd_gln(args):
     return 0
 
 
-def _cmd_s3(args):
-    from .gallery import s3_fixture
-    rep = s3_fixture()
-    key = "table" if args.what == "table" else "cotable"
-    _emit_table(rep.tables[key], args.format)
+def _cmd_fixture(args):
+    """The table of a gallery fixture (s3, matrix-algebra, sl3, poly)."""
+    from . import gallery
+    build = getattr(gallery, args.fixture)
+    rep = build(getattr(args, args.size)) if args.size else build()
+    _emit_table(rep.tables[getattr(args, "what", "table")], args.format)
     return 0
 
 
-def _cmd_matrix_algebra(args):
-    from .gallery import mk_fixture
-    rep = mk_fixture(args.k)
-    _emit_table(rep.tables["table"], args.format)
-    return 0
-
-
-def _cmd_sl3(args):
-    from .gallery import sl3_fixture
-    rep = sl3_fixture()
-    _emit_table(rep.tables["table"], args.format)
-    return 0
-
-
-def _cmd_poly(args):
-    from .gallery import poly_fixture
-    rep = poly_fixture(args.max_degree)
-    _emit_table(rep.tables["table"], args.format)
-    return 0
+def _fixture_args(p, fixture, size=None):
+    """Wire a fixture subcommand to _cmd_fixture; size names its argument."""
+    _fmt_arg(p)
+    p.set_defaults(func=_cmd_fixture, fixture=fixture, size=size)
 
 
 # operators a spec's "action" must name, per group
@@ -211,15 +197,20 @@ def _parse_matrix(rows, dim, field):
 
 
 def _structure_constants(obj, key, dim):
-    """(i, j, k, c) per entry of the list obj[key], indices checked against dim."""
-    out = []
+    """Constants {(i, j): {k: c}} of the list obj[key], indices checked
+    against dim; repeated (i, j, k) entries are summed, zero sums dropped."""
+    const = {}
     for n, e in enumerate(_get(obj, key, list, key)):
         field = "%s[%d]" % (key, n)
         _expect(e, dict, field)
-        i, j, k = (_get(e, x, int, "%s.%s" % (field, x)) for x in "ijk")
-        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+        ijk = tuple(_get(e, x, int, "%s.%s" % (field, x)) for x in "ijk")
+        if not all(0 <= x < dim for x in ijk):
             raise ValueError("%s: structure constant index out of range" % field)
-        out.append((i, j, k, _scalar(e.get("c"), field + ".c")))
+        const[ijk] = const.get(ijk, 0) + _scalar(e.get("c"), field + ".c")
+    out = {}
+    for (i, j, k), c in const.items():
+        if c:
+            out.setdefault((i, j), {})[k] = canon(c)
     return out
 
 
@@ -251,8 +242,11 @@ def _summands(obj, group, dim, registry):
 def load_spec(path):
     """Read and check a spec file.
 
-    Returns (registry, module, triples, delta, summands); delta and summands
-    are None when the file has no comultiplication or explicit summands.
+    Returns (registry, module, product, delta, summands).  The product and
+    the comultiplication delta are structure constants {(i, j): {k: c}}
+    (``gtable.product_from_structure``, ``gtable.cotable``); delta and
+    summands are None when the file has no comultiplication or explicit
+    summands.
     Malformed content raises ValueError naming the offending field.
     """
     with open(path) as fh:
@@ -275,21 +269,19 @@ def load_spec(path):
                               or not all(isinstance(x, str) for x in names)):
         raise ValueError("basis_names: expected %d strings" % dim)
     module = GModule(group, dim, action, basis_names=names)
-    triples = _structure_constants(obj, "product", dim)
+    product = _structure_constants(obj, "product", dim)
     delta = None
     if "comultiplication" in obj:
-        delta = {}
-        for i, j, k, c in _structure_constants(obj, "comultiplication", dim):
-            delta.setdefault(i, []).append((j, k, c))
+        delta = _structure_constants(obj, "comultiplication", dim)
     summands = None
     if "summands" in obj:
         summands = _summands(obj, group, dim, registry)
-    return registry, module, triples, delta, summands
+    return registry, module, product, delta, summands
 
 
 def _cmd_extract(args):
     try:
-        registry, module, triples, delta, summands = load_spec(args.spec)
+        registry, module, product, delta, summands = load_spec(args.spec)
     except (OSError, ValueError) as e:
         sys.stderr.write("bad spec file: %s\n" % e)
         sys.stderr.write(SPEC_SCHEMA_HELP)
@@ -304,8 +296,8 @@ def _cmd_extract(args):
             return 2
         table = cotable(delta, dec, registry)
     else:
-        product = product_from_structure(module.dim, triples)
-        table = extract(product, dec, registry)
+        table = extract(product_from_structure(module.dim, product), dec,
+                        registry)
     _emit_table(table, args.format)
     return 0
 
@@ -345,22 +337,18 @@ def build_parser():
     p = sub.add_parser("s3", help="K[S3] table and cotable")
     p.add_argument("what", nargs="?", choices=("table", "cotable"),
                    default="table")
-    _fmt_arg(p)
-    p.set_defaults(func=_cmd_s3)
+    _fixture_args(p, "s3_fixture")
 
     p = sub.add_parser("matrix-algebra", help="M_k under GL(k) conjugation")
     p.add_argument("--k", type=int, required=True)
-    _fmt_arg(p)
-    p.set_defaults(func=_cmd_matrix_algebra)
+    _fixture_args(p, "mk_fixture", "k")
 
     p = sub.add_parser("sl3", help="sl(3) under the corner SL(2)")
-    _fmt_arg(p)
-    p.set_defaults(func=_cmd_sl3)
+    _fixture_args(p, "sl3_fixture")
 
     p = sub.add_parser("poly", help="truncated polynomial algebra")
     p.add_argument("--max-degree", type=int, required=True)
-    _fmt_arg(p)
-    p.set_defaults(func=_cmd_poly)
+    _fixture_args(p, "poly_fixture", "max_degree")
 
     p = sub.add_parser("extract", help="table of a user supplied algebra",
                        epilog=SPEC_SCHEMA_HELP,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..exactla import div, scalar_from_str
-from ..gtable import GTable, cotable, extract
+from ..gtable import GTable, cotable, extract, product_from_structure
 from ..repkit import (
     GModule,
     IrrepId,
@@ -132,12 +132,12 @@ def s3_fixture() -> FixtureReport:
     reg, dec = s3_decomposition()
     table = extract(s3_group_algebra_product(), dec, reg)
     compare("K[S3] table", table, expected_table(dec, reg, S3_TABLE))
-    delta = {i: [(i, i, 1)] for i in range(6)}
+    delta = {(i, i): {i: 1} for i in range(6)}  # its own dual product
     cot = cotable(delta, dec, reg)
     compare("K[S3] cotable", cot, expected_table(dec, reg, S3_COTABLE))
-    diag = lambda u, v: tuple(a * b for a, b in zip(u, v))
     return FixtureReport("K[S3]", {"table": table, "cotable": cot},
-                         {"table": s3_group_algebra_product(), "cotable": diag})
+                         {"table": s3_group_algebra_product(),
+                          "cotable": product_from_structure(6, delta)})
 
 
 # ---------------------------------------------------------------------------
@@ -250,22 +250,12 @@ def poly_fixture(max_degree) -> FixtureReport:
     reg = sl2_poly_labeling(D)
     dec = block_decomposition(reg, [("A_%d" % r, IrrepId("SL2", r))
                                     for r in range(D + 1)])
-    dim = dec.module.dim
+    # x^(r1-i) y^i * x^(r2-j) y^j = x^(r1+r2-i-j) y^(i+j), from block offsets
     offs = {r: r * (r + 1) // 2 for r in range(D + 1)}
-
-    def product(u, v):
-        out = [0] * dim
-        for r1 in range(D + 1):
-            for i in range(r1 + 1):
-                a = u[offs[r1] + i]
-                if not a:
-                    continue
-                for r2 in range(D + 1 - r1):
-                    for j in range(r2 + 1):
-                        b = v[offs[r2] + j]
-                        if b:
-                            out[offs[r1 + r2] + i + j] += a * b
-        return tuple(out)
+    product = product_from_structure(dec.module.dim, {
+        (offs[r1] + i, offs[r2] + j): {offs[r1 + r2] + i + j: 1}
+        for r1 in range(D + 1) for r2 in range(D + 1 - r1)
+        for i in range(r1 + 1) for j in range(r2 + 1)})
 
     table = extract(product, dec, reg)
     cells = {}

@@ -13,18 +13,16 @@ in the second, where sym(A, B) = AB + BA - (2/n) tr(AB) I.
 from __future__ import annotations
 
 from ..exactla import Matrix, canon
-from ..gtable import extract
+from ..gtable import extract, poisson_axioms, product_from_structure
 from ..repkit import (
-    Decomposition,
     GModule,
     IrrepId,
     block_decomposition,
     builtin_labeling,
+    decompose_sl2,
     glk_ad,
     glk_basis,
     glk_coords,
-    glk_matrix,
-    sl2_summand,
     smat_add,
     smat_comm,
     smat_scale,
@@ -81,92 +79,29 @@ def _coords(u):
     return tuple([a0] + glk_coords(A0, n) + glk_coords(A1, n) + [a1])
 
 
-def _coordinate_maps(n):
-    """The product and the bracket as maps of module coordinate vectors."""
-    sl, _ = glk_basis(n)
-    d = len(sl)
-
-    def from_coords(c):
-        return (n, c[0], glk_matrix(c[1:1 + d], sl),
-                c[-1], glk_matrix(c[1 + d:1 + 2 * d], sl))
-
-    def on_coords(op):
-        return lambda u, v: _coords(op(from_coords(u), from_coords(v)))
-
-    return on_coords(gln_product), on_coords(gln_bracket)
-
-
 def _structure(n, op):
+    """Structure constants {(i, j): {k: c}} of op on the coordinate basis."""
     basis = _basis_elements(n)
-    dim = len(basis)
     struct = {}
     for i, u in enumerate(basis):
         for j, v in enumerate(basis):
-            w = _coords(op(u, v))
-            row = {k: c for k, c in enumerate(w) if c}
+            row = {k: c for k, c in enumerate(_coords(op(u, v))) if c}
             if row:
                 struct[(i, j)] = row
-    return dim, struct
+    return struct
+
+
+def _extract(n, op, dec, reg, op_symbol="*"):
+    """The table of op, from its structure constants, built for this call."""
+    product = product_from_structure(2 * n * n, _structure(n, op))
+    return extract(product, dec, reg, op_symbol=op_symbol)
 
 
 def gln_axioms(n):
     """Full-basis associativity, commutativity, Jacobi and Leibniz checks."""
     if n < 2:
         raise ValueError("n >= 2")
-    dim, P = _structure(n, gln_product)
-    _, L = _structure(n, gln_bracket)
-
-    def right(S, row, k):
-        # sum_m row[m] * S[(m, k)]
-        out = {}
-        for m, c in row.items():
-            for t, d in S.get((m, k), {}).items():
-                w = out.get(t, 0) + c * d
-                if w:
-                    out[t] = w
-                else:
-                    out.pop(t, None)
-        return out
-
-    def left(S, i, row):
-        # sum_m row[m] * S[(i, m)]
-        out = {}
-        for m, c in row.items():
-            for t, d in S.get((i, m), {}).items():
-                w = out.get(t, 0) + c * d
-                if w:
-                    out[t] = w
-                else:
-                    out.pop(t, None)
-        return out
-
-    results = {"commutative": True, "associative": True,
-               "jacobi": True, "leibniz": True}
-    rng = range(dim)
-    for i in rng:
-        for j in rng:
-            if P.get((i, j), {}) != P.get((j, i), {}):
-                results["commutative"] = False
-            if smat_add(L.get((i, j), {}), L.get((j, i), {})):
-                results["jacobi"] = False  # antisymmetry is part of Jacobi here
-    for i in rng:
-        for j in rng:
-            pij = P.get((i, j), {})
-            lij = L.get((i, j), {})
-            for k in rng:
-                if right(P, pij, k) != left(P, i, P.get((j, k), {})):
-                    results["associative"] = False
-                t = smat_add(right(L, lij, k),
-                             right(L, L.get((j, k), {}), i),
-                             right(L, L.get((k, i), {}), j))
-                if t:
-                    results["jacobi"] = False
-                lhs = left(L, i, P.get((j, k), {}))
-                rhs = smat_add(right(P, lij, k),
-                               left(P, j, L.get((i, k), {})))
-                if lhs != rhs:
-                    results["leibniz"] = False
-    return results
+    return poisson_axioms(_structure(n, gln_product), _structure(n, gln_bracket))
 
 
 GLN_PRODUCT_TABLE = {
@@ -202,9 +137,8 @@ def gln_tables(n):
     triv, adj = IrrepId("GL%d" % n, "trivial"), IrrepId("GL%d" % n, "adjoint")
     dec = block_decomposition(reg, [("(I_n)_0", triv), ("sl(n)_0", adj),
                                     ("sl(n)_ab", adj), ("(I_n)_ab", triv)])
-    product, brk = _coordinate_maps(n)
-    tp = extract(product, dec, reg)
-    tb = extract(brk, dec, reg, op_symbol="{,}")
+    tp = _extract(n, gln_product, dec, reg)
+    tb = _extract(n, gln_bracket, dec, reg, op_symbol="{,}")
     want_p = dict(GLN_PRODUCT_TABLE)
     if n == 2:
         del want_p[("sl(n)_0", "sl(n)_0")]
@@ -228,7 +162,6 @@ def gln_sl2_tables(n=3):
         ad = glk_ad(P, n, sl)
         action[op] = Matrix.block_diag([zero, ad, ad, zero])
     module = GModule("SL2", 2 * n * n, action)
-    product, brk = _coordinate_maps(n)
 
     Z = {(0, 0): 1, (1, 1): 1, (2, 2): -2}
     hw_mats = [
@@ -243,11 +176,8 @@ def gln_sl2_tables(n=3):
         ("R_ab", 1, (0, {}, 0, {(2, 1): -1})),
         ("I_ab", 0, (0, {}, 1, {})),
     ]
-    summands = []
-    for sid, w, (a0, A0, a1, A1) in hw_mats:
-        hwv = _coords((n, a0, A0, a1, A1))
-        summands.append(sl2_summand(module, reg, w, hwv, sid))
-    dec = Decomposition(module, reg, summands)
-    tp = extract(product, dec, reg)
-    tb = extract(brk, dec, reg, op_symbol="{,}")
+    dec = decompose_sl2(module, reg, hwvs=[(sid, w, _coords((n,) + u))
+                                           for sid, w, u in hw_mats])
+    tp = _extract(n, gln_product, dec, reg)
+    tb = _extract(n, gln_bracket, dec, reg, op_symbol="{,}")
     return tp, tb

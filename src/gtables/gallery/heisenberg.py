@@ -12,7 +12,13 @@ from dataclasses import dataclass, field
 
 from ..exactla import ColumnSolver, Matrix
 from ..gtable import GTable, extract, product_from_structure
-from ..repkit import Decomposition, GModule, builtin_labeling, sl2_summand
+from ..repkit import (
+    Decomposition,
+    GModule,
+    _unit,
+    builtin_labeling,
+    decompose_sl2,
+)
 from ..supercochain import (
     BigradedElement,
     bracket,
@@ -123,8 +129,9 @@ class HeisenbergReport:
     module: GModule = field(repr=False, default=None)
     decomposition: Decomposition = field(repr=False, default=None)
     basis_classes: list = field(repr=False, default_factory=list)
-    cup_structure: list = field(repr=False, default_factory=list)
-    bracket_structure: list = field(repr=False, default_factory=list)
+    # structure constants {(i, j): {k: c}} on the 18 classes
+    cup_structure: dict = field(repr=False, default_factory=dict)
+    bracket_structure: dict = field(repr=False, default_factory=dict)
 
     def verified(self):
         return all(ok for (_, _, ok) in self.verification)
@@ -208,30 +215,21 @@ def heisenberg_pipeline() -> HeisenbergReport:
         action[op] = Matrix.from_cols(cols, nrows=n18)
     module = GModule("SL2", n18, action)
 
-    cup_struct = []
-    bracket_struct = []
+    cup_struct = {}
+    bracket_struct = {}
     for i, (_, _, _, a) in enumerate(basis_classes):
         for j, (_, _, _, b) in enumerate(basis_classes):
-            for k, c in enumerate(project(vee(a, b))):
-                if c:
-                    cup_struct.append((i, j, k, c))
-            for k, c in enumerate(project(bracket(a, b))):
-                if c:
-                    bracket_struct.append((i, j, k, c))
+            for struct, op in ((cup_struct, vee), (bracket_struct, bracket)):
+                row = {k: c for k, c in enumerate(project(op(a, b))) if c}
+                if row:
+                    struct[(i, j)] = row
     cup = product_from_structure(n18, cup_struct)
     brk = product_from_structure(n18, bracket_struct)
 
-    offsets = {}
-    pos = 0
-    for sid, (p, q), w, rep in HW_REPRESENTATIVES:
-        offsets[sid] = pos
-        pos += w + 1
-    summands = []
-    for sid, (p, q), w, rep in HW_REPRESENTATIVES:
-        hwv = [0] * n18
-        hwv[offsets[sid]] = 1
-        summands.append(sl2_summand(module, reg, w, hwv, sid))
-    dec = Decomposition(module, reg, summands)
+    # the highest weight vector of each summand is the first class of its orbit
+    first = {sid: idx for idx, (sid, j, _, _) in enumerate(basis_classes) if not j}
+    dec = decompose_sl2(module, reg, hwvs=[(sid, w, _unit(n18, first[sid]))
+                                           for sid, _, w, _ in HW_REPRESENTATIVES])
 
     cup_table = extract(cup, dec, reg, op_symbol="v")
     bracket_table = extract(brk, dec, reg, op_symbol="{,}")

@@ -12,6 +12,10 @@ the basis matrix, and solves for the cell exactly on a full basis, so a solved
 table certifies that the product is equivariant, and an inconsistent system
 doubles as a non-equivariance (or wrong-registry) detector: only then is the
 product checked operator by operator, to tell the two apart.
+
+Ordinary structure constants have one form, {(i, j): {k: c}} without zeros,
+for e_i * e_j = sum_k c e_k: ``expand`` returns it, ``product_from_structure``
+is its one evaluator and ``poisson_axioms`` its one axiom checker.
 """
 
 from __future__ import annotations
@@ -213,27 +217,104 @@ def _check_product_equivariance(product, module):
             % bad)
 
 
-def product_from_structure(n, triples):
-    """Bilinear map from sparse structure constants [(i, j, k, c), ...]."""
-    table = {}  # i -> j -> [(k, c)]
-    for i, j, k, c in triples:
-        c = canon(c)
-        if c:
-            table.setdefault(i, {}).setdefault(j, []).append((k, c))
+def _first_index(struct):
+    """{i: [(j, row)]} over the nonzero products e_i * e_j; the rows are
+    struct's own dicts, not copies."""
+    out = {}
+    for (i, j), row in struct.items():
+        out.setdefault(i, []).append((j, row))
+    return out
+
+
+def product_from_structure(n, struct):
+    """Bilinear map of coordinate vectors of length n from structure
+    constants {(i, j): {k: c}}, e_i * e_j = sum_k c e_k.
+
+    The one evaluator of structure constants; a zero constant adds nothing.
+    """
+    rows = _first_index(struct)
 
     def product(u, v):
         out = [0] * n
         for i, a in enumerate(u):
-            if a and i in table:
-                for j, kc in table[i].items():
+            if a and i in rows:
+                for j, row in rows[i]:
                     b = v[j]
                     if b:
                         ab = a * b
-                        for k, c in kc:
+                        for k, c in row.items():
                             out[k] += ab * c
-        return tuple(map(canon, out))
+        # from a list, not an iterator: a tuple that tuple() grows by resizing
+        # is never reused from the free list of its size, which then fills up
+        return tuple([canon(x) for x in out])
 
     return product
+
+
+def poisson_axioms(P, L):
+    """Which axioms of a commutative Poisson algebra hold for the product P
+    and the bracket L, both structure constants {(i, j): {k: c}} without
+    zeros: {"commutative", "associative", "jacobi", "leibniz": bool}, where
+    jacobi includes the antisymmetry of L.
+
+    Each trilinear identity is summed one first argument e_i at a time, into
+    a dict over the (j, k, t) that the nonzero constants reach; no loop runs
+    over all basis triples.  Under antisymmetry the Jacobi identity is
+    {e_i, {e_j, e_k}} = {{e_i, e_j}, e_k} - {{e_i, e_k}, e_j}.
+    """
+    def output_index(S):  # {m: [((j, k), c)]}: where e_m occurs in S
+        out = {}
+        for jk, row in S.items():
+            for m, c in row.items():
+                out.setdefault(m, []).append((jk, c))
+        return out
+
+    Pf, Lf = _first_index(P), _first_index(L)
+    Ptf = _first_index({(j, i): row for (i, j), row in P.items()})
+    Po, Lo = output_index(P), output_index(L)
+
+    def outer(Sf, Tf, i, swap=False):
+        # (e_i S e_j) T e_k = sum_m S[i, j][m] T[m, k], keyed (j, k) or (k, j)
+        for j, row in Sf.get(i, ()):
+            for m, c in row.items():
+                for k, trow in Tf.get(m, ()):
+                    yield ((k, j) if swap else (j, k)), c, trow
+
+    def inner(So, Tf, i):
+        # e_i T (e_j S e_k) = sum_m S[j, k][m] T[i, m]
+        for m, trow in Tf.get(i, ()):
+            for jk, c in So.get(m, ()):
+                yield jk, c, trow
+
+    def vanishes(*terms):
+        acc = {}  # (j, k, t) -> coefficient of e_t
+        for sign, term in terms:
+            for (j, k), c, row in term:
+                for t, x in row.items():
+                    acc[j, k, t] = acc.get((j, k, t), 0) + sign * c * x
+        return not any(acc.values())
+
+    results = {
+        "commutative": all(P.get((j, i)) == row for (i, j), row in P.items()),
+        "associative": True,
+        "jacobi": all(L.get((j, i)) == {k: -c for k, c in row.items()}
+                      for (i, j), row in L.items()),
+        "leibniz": True,
+    }
+    for i in set(Pf) | set(Lf):
+        if results["associative"]:
+            results["associative"] = vanishes(
+                (1, outer(Pf, Pf, i)), (-1, inner(Po, Pf, i)))
+        if results["jacobi"]:
+            results["jacobi"] = vanishes(
+                (1, inner(Lo, Lf, i)), (-1, outer(Lf, Lf, i)),
+                (1, outer(Lf, Lf, i, swap=True)))
+        if results["leibniz"]:
+            # {e_i, e_j e_k} = {e_i, e_j} e_k + e_j {e_i, e_k}
+            results["leibniz"] = vanishes(
+                (1, inner(Po, Lf, i)), (-1, outer(Lf, Pf, i)),
+                (-1, outer(Lf, Ptf, i, swap=True)))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -244,19 +325,9 @@ class ExpandedAlgebra:
 
     def __init__(self, basis, struct):
         self.basis = basis  # [(summand_id, model_index)]
-        self.index = {u: i for i, u in enumerate(basis)}
         self.struct = struct  # {(i, j): {k: scalar}}
-
-    def product_coords(self, u, v):
-        """Product of two coefficient vectors over the expanded basis."""
-        out = {}
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    if b:
-                        for k, c in self.struct.get((i, j), {}).items():
-                            out[k] = out.get(k, 0) + a * b * c
-        return tuple(canon(out.get(k, 0)) for k in range(len(self.basis)))
+        # the product of two coefficient vectors over the expanded basis
+        self.product_coords = product_from_structure(len(basis), struct)
 
 
 def _offsets(dec):
@@ -523,21 +594,16 @@ def corollary_check(tA: GTable, tB: GTable, f: GMatrix) -> bool:
 def cotable(delta, dec: Decomposition, registry: IntertwinerRegistry) -> GTable:
     """Table of the dual product of a comultiplication.
 
-    ``delta`` maps basis index i to a list of (j, k, c) with
-    Delta(e_i) = sum c e_j (x) e_k; the dual identification (so that ``dec``
-    decomposes the dual module) is the caller's responsibility.
+    ``delta`` holds the constants {(i, j): {k: c}} of
+    Delta(e_i) = sum c e_j (x) e_k, and the dual product has the constants
+    {(j, k): {i: c}}; the dual identification (so that ``dec`` decomposes the
+    dual module) is the caller's responsibility.
     """
-    n = dec.module.dim
-
-    def product(u, v):
-        out = [0] * n
-        for i in range(n):
-            for (j, k, c) in delta.get(i, ()):
-                if u[j] and v[k]:
-                    out[i] += c * u[j] * v[k]
-        return tuple(out)
-
-    return extract(product, dec, registry, op_symbol="*")
+    dual = {}
+    for (i, j), row in delta.items():
+        for k, c in row.items():
+            dual.setdefault((j, k), {})[i] = c
+    return extract(product_from_structure(dec.module.dim, dual), dec, registry)
 
 
 # ---------------------------------------------------------------------------

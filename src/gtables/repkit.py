@@ -281,22 +281,22 @@ class Decomposition:
 
     def validate(self):
         total = 0
-        cols = []
         for s in self.summands:
             model = self.registry.models[s.irrep]
             if s.tau.shape != (self.module.dim, model.dim):
                 raise ValueError("tau shape mismatch for %s" % s.id)
-            if s.tau.rank() != model.dim:
-                raise ValueError("tau not injective for %s" % s.id)
             for op, X in self.module.action.items():
                 if X @ s.tau != s.tau @ model.action[op]:
                     raise ValueError("tau not equivariant for %s at %s" % (s.id, op))
             total += model.dim
-            cols.extend(s.tau.col(j) for j in range(model.dim))
         if total != self.module.dim:
             raise ValueError("summand dimensions sum to %d != %d"
                              % (total, self.module.dim))
-        if Matrix.from_cols(cols, nrows=self.module.dim).rank() != self.module.dim:
+        # full rank of the concatenated images implies every tau is injective
+        if self.basis_matrix().rank() != self.module.dim:
+            for s in self.summands:
+                if s.tau.rank() != s.tau.ncols:
+                    raise ValueError("tau not injective for %s" % s.id)
             raise ValueError("summand images are not independent")
 
     def epsilon(self, rid):
@@ -621,9 +621,14 @@ def highest_weight_vectors(M: GModule):
     """
     H = M.action["H"]
     E = M.action["E"]
+    # an eigenvalue n of H has |n| <= max_i sum_j |H_ij| (Gershgorin)
+    radius = [0] * M.dim
+    for i, _, x in H.entries():
+        radius[i] += abs(x)
+    bound = min(M.dim, int(max(radius, default=0)))
     spaces = {}
     found = 0
-    for n in range(-M.dim, M.dim + 1):
+    for n in range(-bound, bound + 1):
         shifted = H - Matrix.identity(M.dim).scale(n)
         K = kernel(shifted)
         if K.dim:

@@ -231,7 +231,7 @@ def test_criterion_9_gln_family_axioms():
 
 def test_criterion_10_roundtrips(golden):
     from gtables.gtable import product_from_structure
-    from gtables.gallery.glnfamily import _coordinate_maps
+    from gtables.gallery.glnfamily import _structure, gln_bracket, gln_product
     t0 = time.perf_counter()
     rep = heisenberg_pipeline()
     gc, gb = gln_sl2_tables(3)
@@ -240,7 +240,8 @@ def test_criterion_10_roundtrips(golden):
     mk = mk_fixture(3)
     sl3 = sl3_fixture()
     poly = poly_fixture(3)
-    glp, glb = _coordinate_maps(3)
+    glp, glb = (product_from_structure(18, _structure(3, op))
+                for op in (gln_product, gln_bracket))
     cases = [
         ("s3", s3.tables["table"], s3.products["table"]),
         ("s3_cotable", s3.tables["cotable"], s3.products["cotable"]),

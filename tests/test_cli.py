@@ -58,6 +58,7 @@ def run_cli(capsys, *argv):
     (["matrix-algebra", "--k", "2", "--format", "json"], "mk2.json"),
     (["sl3", "--format", "latex"], "sl3.tex"),
     (["poly", "--max-degree", "3"], "poly3.txt"),
+    (["gln", "check", "--n", "3"], "gln3_check.txt"),
 ])
 def test_subcommand_golden(capsys, golden, argv, name):
     code, out, err = run_cli(capsys, *argv)
@@ -117,6 +118,28 @@ def test_extract_spec_small_algebra(capsys, tmp_path):
     obj = json.loads(out)
     assert obj["entries"] == [
         {"r1": "h_1", "r2": "h_1", "s": "h_0", "q": 1, "c": "1"}]
+
+
+def test_extract_spec_sums_repeated_entries(capsys, tmp_path):
+    # a repeated (i, j, k) entry is summed and a zero "c" adds nothing, so
+    # the spec prints the same table as its merged form
+    repeated = h3_spec(product=[
+        {"i": 0, "j": 1, "k": 2, "c": "1/2"},
+        {"i": 2, "j": 2, "k": 0, "c": "0"},
+        {"i": 0, "j": 1, "k": 2, "c": "1/2"},
+        {"i": 1, "j": 0, "k": 2, "c": "-1"},
+        {"i": 1, "j": 1, "k": 0, "c": "3"},
+        {"i": 1, "j": 1, "k": 0, "c": "-3"},
+    ])
+    outs = []
+    for name, spec in (("merged.json", H3_SPEC), ("repeated.json", repeated)):
+        path = tmp_path / name
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "extract", "--spec", str(path))
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert "h_0" in outs[0]
 
 
 def test_extract_spec_cotable(capsys, tmp_path):

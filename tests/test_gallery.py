@@ -285,8 +285,9 @@ def test_expand_matches_module_reference(he_report):
 
 def test_extract_expand_roundtrip_on_gallery_algebras(he_report):
     # expanded structure constants agree with the defining products
-    from gtables.gallery.glnfamily import _coordinate_maps
-    _, brk = _coordinate_maps(3)
+    from gtables.gallery.glnfamily import _structure
+    from gtables.gtable import product_from_structure
+    brk = product_from_structure(18, _structure(3, gln_bracket))
     tp, tb = gln_tables(3)
     E = expand(tb)
     B = tb.source.basis_matrix()

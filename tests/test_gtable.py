@@ -9,7 +9,7 @@ from gtables.exactla import Matrix, scalar_from_str
 from gtables import gtable
 from gtables.gallery import gln_sl2_tables, gln_tables, heisenberg_pipeline
 from gtables.gallery.fixtures import s3_decomposition
-from gtables.gallery.glnfamily import _coordinate_maps
+from gtables.gallery.glnfamily import _structure, gln_bracket, gln_product
 from gtables.gtable import (
     AmbiguousSystem,
     GMatrix,
@@ -25,6 +25,7 @@ from gtables.gtable import (
     morphism_oracle,
     parse_gtable,
     plain_algebra,
+    poisson_axioms,
     product_from_structure,
     render,
     to_json,
@@ -36,6 +37,7 @@ from gtables.repkit import (
     builtin_labeling,
     decompose_sl2,
     sl2_poly_labeling,
+    smat_add,
 )
 from gtables.verify import run_morphism_equivalence
 
@@ -55,33 +57,139 @@ def heisenberg_dec():
 
 def heisenberg_bracket_product():
     # [x_1, x_-1] = h_0 on basis (x_1, x_-1, h_0)
-    return product_from_structure(3, [(0, 1, 2, 1), (1, 0, 2, -1)])
+    return product_from_structure(3, {(0, 1): {2: 1}, (1, 0): {2: -1}})
+
+
+def gl3_maps():
+    """The gl(3) |x gl(3)_ab product and bracket on module coordinates."""
+    return tuple(product_from_structure(18, _structure(3, op))
+                 for op in (gln_product, gln_bracket))
 
 
 def test_product_from_structure_matches_dense_loop(canonical):
-    # seeded sparse structures with repeated (i, j, k) triples and zero
-    # coefficients, against the bilinear map summed over every (i, j, k)
+    # seeded sparse structures with zero coefficients, against the bilinear
+    # map summed over every (i, j, k)
     rng = random.Random(2718)
     coeffs = [F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 4)]
     for _ in range(60):
         n = rng.randint(1, 6)
-        triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(n),
-                    rng.choice(coeffs)) for _ in range(rng.randint(0, 3 * n))]
-        if triples:
-            triples += [triples[0], triples[-1][:3] + (F(0),)]
-        const = {}
-        for i, j, k, c in triples:
-            const[(i, j, k)] = const.get((i, j, k), F(0)) + c
-        product = product_from_structure(n, triples)
+        struct = {}
+        for _ in range(rng.randint(0, 3 * n)):
+            row = struct.setdefault((rng.randrange(n), rng.randrange(n)), {})
+            row[rng.randrange(n)] = rng.choice(coeffs)
+        if struct:
+            next(iter(struct.values()))[rng.randrange(n)] = F(0)
+        product = product_from_structure(n, struct)
         for _ in range(5):
             u = [rng.choice(coeffs) for _ in range(n)]
             v = [rng.choice(coeffs) for _ in range(n)]
-            want = tuple(sum((u[i] * v[j] * const.get((i, j, k), 0)
+            want = tuple(sum((u[i] * v[j] * struct.get((i, j), {}).get(k, 0)
                               for i in range(n) for j in range(n)), F(0))
                          for k in range(n))
             got = product(u, v)
             assert got == want
             assert all(canonical(x) for x in got)
+
+
+def dense_poisson_axioms(dim, P, L):
+    """Reference for poisson_axioms: every identity on every basis triple."""
+
+    def right(S, row, k):
+        # sum_m row[m] * S[(m, k)]
+        out = {}
+        for m, c in row.items():
+            for t, d in S.get((m, k), {}).items():
+                w = out.get(t, 0) + c * d
+                if w:
+                    out[t] = w
+                else:
+                    out.pop(t, None)
+        return out
+
+    def left(S, i, row):
+        # sum_m row[m] * S[(i, m)]
+        out = {}
+        for m, c in row.items():
+            for t, d in S.get((i, m), {}).items():
+                w = out.get(t, 0) + c * d
+                if w:
+                    out[t] = w
+                else:
+                    out.pop(t, None)
+        return out
+
+    results = {"commutative": True, "associative": True,
+               "jacobi": True, "leibniz": True}
+    rng = range(dim)
+    for i in rng:
+        for j in rng:
+            if P.get((i, j), {}) != P.get((j, i), {}):
+                results["commutative"] = False
+            if smat_add(L.get((i, j), {}), L.get((j, i), {})):
+                results["jacobi"] = False  # antisymmetry is part of Jacobi here
+    for i in rng:
+        for j in rng:
+            pij = P.get((i, j), {})
+            lij = L.get((i, j), {})
+            for k in rng:
+                if right(P, pij, k) != left(P, i, P.get((j, k), {})):
+                    results["associative"] = False
+                t = smat_add(right(L, lij, k),
+                             right(L, L.get((j, k), {}), i),
+                             right(L, L.get((k, i), {}), j))
+                if t:
+                    results["jacobi"] = False
+                lhs = left(L, i, P.get((j, k), {}))
+                rhs = smat_add(right(P, lij, k),
+                               left(P, j, L.get((i, k), {})))
+                if lhs != rhs:
+                    results["leibniz"] = False
+    return results
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_poisson_axioms_match_dense_reference_on_gln(n):
+    P, L = _structure(n, gln_product), _structure(n, gln_bracket)
+    got = poisson_axioms(P, L)
+    assert got == dense_poisson_axioms(2 * n * n, P, L)
+    assert list(got.items()) == [("commutative", True), ("associative", True),
+                                 ("jacobi", True), ("leibniz", True)]
+
+
+def test_poisson_axioms_on_heisenberg_constants():
+    # the paper's 18-dimensional algebra is Poisson, from its constants
+    rep = heisenberg_pipeline()
+    P, L = rep.cup_structure, rep.bracket_structure
+    got = poisson_axioms(P, L)
+    assert got == dense_poisson_axioms(18, P, L)
+    assert all(got.values())
+
+
+def test_poisson_axioms_match_dense_reference_on_perturbations():
+    # one constant of gl(2) or gl(3) changed, added or removed at a time
+    rng = random.Random(1313)
+    base = {n: (_structure(n, gln_product), _structure(n, gln_bracket))
+            for n in (2, 3)}
+    coeffs = [0, 1, -1, 2, F(1, 2)]
+    failed = dict.fromkeys(("commutative", "associative", "jacobi", "leibniz"), 0)
+    for t in range(240):
+        n = 3 if t % 6 == 0 else 2
+        dim = 2 * n * n
+        P, L = (dict(S) for S in base[n])
+        S = P if t % 2 else L
+        key = (rng.randrange(dim), rng.randrange(dim))
+        row = dict(S.get(key, {}))
+        row[rng.randrange(dim)] = rng.choice(coeffs)
+        row = {k: c for k, c in row.items() if c}
+        if row:
+            S[key] = row
+        else:
+            S.pop(key, None)
+        got = poisson_axioms(P, L)
+        assert got == dense_poisson_axioms(dim, P, L), (t, key, row)
+        for name, ok in got.items():
+            failed[name] += not ok
+    assert all(failed.values()), failed
 
 
 def test_heisenberg_lie_table():
@@ -208,14 +316,14 @@ def test_poly_truncated_table():
 
 def test_extract_not_equivariant():
     reg, dec = heisenberg_dec()
-    bad = product_from_structure(3, [(0, 0, 2, 1)])  # "x_1 * x_1 = h_0"
+    bad = product_from_structure(3, {(0, 0): {2: 1}})  # "x_1 * x_1 = h_0"
     with pytest.raises(NotEquivariant):
         extract(bad, dec, reg)
 
 
 def test_extract_not_equivariant_s3():
     reg, dec = s3_decomposition()
-    bad = product_from_structure(6, [(1, 1, 1, 1)])  # "(12) * (12) = (12)"
+    bad = product_from_structure(6, {(1, 1): {1: 1}})  # "(12) * (12) = (12)"
     with pytest.raises(NotEquivariant):
         extract(bad, dec, reg)
 
@@ -225,7 +333,7 @@ def test_extract_calls_product_once_per_basis_pair():
     tp, _ = gln_tables(3)
     h_reg, h_dec = heisenberg_dec()
     cases = [(heisenberg_bracket_product(), h_dec, h_reg),
-             (_coordinate_maps(3)[0], tp.source, tp.registry)]
+             (gl3_maps()[0], tp.source, tp.registry)]
     for product, dec, reg in cases:
         calls = []
 
@@ -252,7 +360,7 @@ def _count_systems(monkeypatch):
 
 def test_extract_builds_one_system_per_irrep_pair(monkeypatch):
     # one solver per irrep pair, kept for the length of one extract call
-    product, brk = _coordinate_maps(3)
+    product, brk = gl3_maps()
     cases = [(gln_sl2_tables()[0], 100, 9), (gln_tables(3)[0], 16, 4)]
     built = _count_systems(monkeypatch)
     for table, pairs, systems in cases:
@@ -268,7 +376,7 @@ def test_repeated_extract_gives_equal_tables(monkeypatch):
     # systems, and a repeated one gives an equal table
     gc, gb = gln_sl2_tables()
     built = _count_systems(monkeypatch)
-    product, brk = _coordinate_maps(3)
+    product, brk = gl3_maps()
     assert extract(product, gc.source, gc.registry) == gc
     assert extract(brk, gb.source, gb.registry, op_symbol="{,}") == gb
     assert len(built) == 18
@@ -281,7 +389,7 @@ def test_successful_extract_calls_no_matvec(monkeypatch):
     tp, _ = gln_tables(3)
     h_reg, h_dec = heisenberg_dec()
     cases = [(heisenberg_bracket_product(), h_dec, h_reg),
-             (_coordinate_maps(3)[0], tp.source, tp.registry)]
+             (gl3_maps()[0], tp.source, tp.registry)]
     calls = []
     real = Matrix.matvec
 
@@ -319,7 +427,7 @@ def test_extract_inconsistent_names_the_summand_pair():
                gb.cell("C_0", "R_0"))
     del reg.maps[(v1, v1, v2)]
     with pytest.raises(InconsistentSystem, match=r"\(C_0, R_0\)"):
-        extract(_coordinate_maps(3)[1], gb.source, reg)
+        extract(gl3_maps()[1], gb.source, reg)
 
 
 def test_extract_inconsistent_when_registry_lacks_triple():
@@ -419,14 +527,14 @@ def test_stored_scalars_are_canonical(canonical):
     # gl(3) tables, the Heisenberg report and a spec file through the path
     # of `extract --spec`, whose coefficients include halves
     rep = heisenberg_pipeline()
-    reg, module, triples, _, summands = load_spec(os.path.join(
+    reg, module, product, _, summands = load_spec(os.path.join(
         os.path.dirname(__file__), "golden", "heisenberg_he.json"))
     dec = decompose_sl2(module, reg, hwvs=summands)
-    spec = extract(product_from_structure(module.dim, triples), dec, reg)
+    spec = extract(product_from_structure(module.dim, product), dec, reg)
     tables = list(gln_tables(3)) + [rep.cup_table, rep.bracket_table, spec]
     scalars = [x for t in tables for x in _stored_scalars(t)]
     scalars += [c for s in (rep.cup_structure, rep.bracket_structure)
-                for (_, _, _, c) in s]
+                for row in s.values() for c in row.values()]
     assert all(canonical(x) for x in scalars)
     assert any(type(x) is Fraction for x in scalars)
 
@@ -444,7 +552,7 @@ def test_cotable_componentwise_1dim():
                           __import__("gtables.repkit", fromlist=["S3_ELEMENTS"]).S3_ELEMENTS})
     from gtables.repkit import decompose_s3
     dec = decompose_s3(M, reg)
-    t = cotable({0: [(0, 0, F(1))]}, dec, reg)
+    t = cotable({(0, 0): {0: F(1)}}, dec, reg)
     assert t.entries == {("tr", "tr"): (("tr", 1, F(1)),)}
 
 

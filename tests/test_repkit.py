@@ -260,6 +260,26 @@ def test_non_diagonalizable_h_rejected():
         highest_weight_vectors(M)
 
 
+def test_highest_weight_scan_bounded_by_the_norm_of_h(monkeypatch):
+    # the 18-dimensional H_E(h3) has weights in [-2, 2]: five shifted
+    # kernels of H, then one kernel of E per weight 2, 1, 0, where a scan of
+    # every shift in [-18, 18] takes 37 + 3
+    from gtables import repkit
+    from gtables.gallery import heisenberg_pipeline
+    module = heisenberg_pipeline().module
+    calls = []
+    real = repkit.kernel
+
+    def counted(M):
+        calls.append(M.shape)
+        return real(M)
+
+    monkeypatch.setattr(repkit, "kernel", counted)
+    hw = highest_weight_vectors(module)
+    assert [(n, len(vs)) for n, vs in hw] == [(2, 2), (1, 4), (0, 4)]
+    assert len(calls) == 8
+
+
 def test_decompose_sl2_heisenberg():
     reg = builtin_labeling("SL2")
     M = heisenberg_module()
@@ -377,6 +397,48 @@ def test_decomposition_validation_catches_bad_tau():
     bad = Summand("b", IrrepId("SL2", 0), Matrix.from_cols([(1, 0, 0)], nrows=3))
     with pytest.raises(ValueError):
         Decomposition(M, reg, [bad])
+
+
+def test_decomposition_rejects_non_injective_tau():
+    # a zero tau is equivariant and has the right shape, but the images
+    # then fall short of the module
+    from gtables.repkit import Summand
+    reg = builtin_labeling("SL2")
+    blocks = block_decomposition(reg, [("a", IrrepId("SL2", 0)),
+                                       ("b", IrrepId("SL2", 1))])
+    a, b = blocks.summands
+    zero = Summand("a", a.irrep, a.tau.scale(0))
+    with pytest.raises(ValueError, match="tau not injective for a"):
+        Decomposition(blocks.module, reg, [zero, b])
+
+
+def test_decomposition_rejects_dependent_images():
+    # two injective, equivariant copies of the trivial irrep on one line
+    from gtables.repkit import Summand
+    reg = builtin_labeling("SL2")
+    blocks = block_decomposition(reg, [("a", IrrepId("SL2", 0)),
+                                       ("b", IrrepId("SL2", 0))])
+    a, _ = blocks.summands
+    with pytest.raises(ValueError, match="summand images are not independent"):
+        Decomposition(blocks.module, reg, [a, Summand("b", a.irrep, a.tau)])
+
+
+def test_decomposition_validation_takes_one_rank(monkeypatch):
+    # full rank of the concatenated images implies every tau is injective
+    reg = builtin_labeling("SL2")
+    blocks = block_decomposition(reg, [("a", IrrepId("SL2", 0)),
+                                       ("b", IrrepId("SL2", 1)),
+                                       ("c", IrrepId("SL2", 2))])
+    ranks = []
+    real = Matrix.rank
+
+    def counted(self):
+        ranks.append(self.shape)
+        return real(self)
+
+    monkeypatch.setattr(Matrix, "rank", counted)
+    Decomposition(blocks.module, reg, blocks.summands)
+    assert ranks == [(6, 6)]
 
 
 def test_glk_module_checked_against_relations():
