@@ -47,7 +47,7 @@ from .supercochain import (
     ComplexContext,
     NotACocycle,
     bracket,
-    class_coords,
+    class_coordinates,
     cohomology,
     differential,
     heisenberg_context,

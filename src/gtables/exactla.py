@@ -235,10 +235,10 @@ class Matrix:
 
     def row(self, i):
         r = self._rows[i]
-        return tuple(r.get(j, 0) for j in range(self.ncols))
+        return tuple([r.get(j, 0) for j in range(self.ncols)])
 
     def col(self, j):
-        return tuple(r.get(j, 0) for r in self._rows)
+        return tuple([r.get(j, 0) for r in self._rows])
 
     def entries(self):
         """The nonzero entries as (i, j, x), row by row."""
@@ -366,7 +366,7 @@ class Subspace:
     @property
     def basis(self):
         n = self.ambient_dim
-        return tuple(tuple(r.get(j, 0) for j in range(n)) for r in self.rows)
+        return tuple([tuple([r.get(j, 0) for j in range(n)]) for r in self.rows])
 
     @property
     def dim(self):
@@ -385,7 +385,7 @@ class Subspace:
             if f:
                 for j, x in row.items():
                     v[j] -= f * x
-        return tuple(map(canon, v))
+        return tuple([canon(x) for x in v])
 
     def add(self, other):
         if self.ambient_dim != other.ambient_dim:
@@ -487,7 +487,7 @@ class ColumnSolver:
             if xj:
                 for i, c in col:
                     y[i] += c * xj
-        return tuple(map(canon, x)) if y == z else None
+        return tuple([canon(v) for v in x]) if y == z else None
 
 
 def coords_modulo(z, reps, W: Subspace):

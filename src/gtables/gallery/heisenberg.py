@@ -1,16 +1,18 @@
 """Even cohomology of the 3-dimensional Heisenberg algebra as a Poisson algebra.
 
-The pipeline builds the bigraded complex, verifies the fixed highest weight
-representatives per even bidegree, assembles the 18-dimensional class space on
-their F-orbits, and extracts the cup-product and bracket tables, which must
-match the fixed 10x10 tables cell for cell (zeros included).
+The pipeline builds the bigraded complex, takes the 18-dimensional class space
+on the F-orbits of the fixed highest weight representatives, and writes the
+SL2 action and the cup and bracket products of classes in it with
+``supercochain.class_coordinates``, which certifies the orbits as a basis of
+each even bidegree's cohomology.  The extracted cup-product and bracket tables
+must match the fixed 10x10 tables cell for cell (zeros included).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..exactla import ColumnSolver, Matrix
+from ..exactla import Matrix
 from ..gtable import GTable, extract, product_from_structure
 from ..repkit import (
     Decomposition,
@@ -22,12 +24,10 @@ from ..repkit import (
 from ..supercochain import (
     BigradedElement,
     bracket,
-    cohomology,
+    class_coordinates,
     differential,
     heisenberg_context,
-    monomial_basis,
     sl2_act,
-    to_coords,
     vee,
 )
 from .fixtures import FixtureMismatch, compare, expected_table
@@ -148,32 +148,24 @@ def heisenberg_pipeline() -> HeisenbergReport:
     ctx = heisenberg_context()
     reg = builtin_labeling("SL2")
 
-    dims = {}
-    verification = []
-    by_bidegree = {}
-    for sid, (p, q), w, rep in HW_REPRESENTATIVES:
-        by_bidegree.setdefault((p, q), []).append((sid, w, rep))
+    # the 18-dimensional class space on the concatenated F-orbits
+    basis_classes = [(sid, j, pq, elt) for sid, pq, w, rep in HW_REPRESENTATIVES
+                     for j, elt in enumerate(_orbit(ctx, rep, w))]
+    n18 = len(basis_classes)
+    coords = class_coordinates(ctx, [elt for (_, _, _, elt) in basis_classes])
 
-    orbits = {}
-    # bidegree -> (monomial basis, solver over [representatives | boundary])
-    classes = {}
-    for (p, q) in EVEN_BIDEGREES:
-        reps = []
-        for sid, w, rep in by_bidegree[(p, q)]:
-            orbits[sid] = _orbit(ctx, rep, w)
-            reps.extend(orbits[sid])
-        injected, boundary = cohomology(ctx, p, q, reps=reps)
-        dims[(p, q)] = len(injected)
-        basis = monomial_basis(3, p, q)
-        index = {m: i for i, m in enumerate(basis)}
-        classes[(p, q)] = (basis, ColumnSolver(
-            [{index[m]: c for m, c in z.terms.items()} for z in injected]
-            + list(boundary.rows), len(basis)))
-        for sid, w, rep in by_bidegree[(p, q)]:
+    # class_coordinates certified the classes of each bidegree as a basis of
+    # its cohomology, so their number there is the Betti number
+    dims = {pq: 0 for pq in EVEN_BIDEGREES}
+    for (_, _, pq, _) in basis_classes:
+        dims[pq] += 1
+    verification = []
+    for bidegree in EVEN_BIDEGREES:
+        for sid, pq, w, rep in HW_REPRESENTATIVES:
+            if pq != bidegree:
+                continue
             verification.append((sid, "cocycle", differential(rep, ctx).is_zero()))
-            verification.append(
-                (sid, "non-exact",
-                 not boundary.contains(to_coords(rep, basis))))
+            verification.append((sid, "non-exact", any(coords(rep))))
             verification.append((sid, "highest weight",
                                  sl2_act("E", rep, ctx).is_zero()))
             verification.append(
@@ -181,36 +173,9 @@ def heisenberg_pipeline() -> HeisenbergReport:
                  sl2_act("H", rep, ctx) == rep.scale(w)))
     total = sum(dims.values())
 
-    # the 18-dimensional class space on the concatenated F-orbits
-    basis_classes = []
-    for sid, (p, q), w, rep in HW_REPRESENTATIVES:
-        for j, elt in enumerate(orbits[sid]):
-            basis_classes.append((sid, j, (p, q), elt))
-    n18 = len(basis_classes)
-    positions = {pq: [] for pq in classes}  # bidegree -> its class indices
-    for idx, (_, _, pq, _) in enumerate(basis_classes):
-        positions[pq].append(idx)
-
-    def project(elt):
-        out = [0] * n18
-        for (pq, part) in elt.parts().items():
-            if pq not in classes:
-                raise FixtureMismatch(
-                    "Heisenberg", ("?", "?", "component in odd bidegree %s" % (pq,), ""))
-            basis, solver = classes[pq]
-            coords = solver.solve(to_coords(part, basis))
-            if coords is None:
-                raise FixtureMismatch(
-                    "Heisenberg", ("?", "?", "component in bidegree %s outside "
-                                   "the representatives plus boundaries" % (pq,), ""))
-            # the representatives come first; the boundary coefficients are dropped
-            for idx, c in zip(positions[pq], coords):
-                out[idx] = c
-        return out
-
     action = {}
     for op in ("E", "H", "F"):
-        cols = [project(sl2_act(op, elt, ctx))
+        cols = [coords(sl2_act(op, elt, ctx))
                 for (_, _, _, elt) in basis_classes]
         action[op] = Matrix.from_cols(cols, nrows=n18)
     module = GModule("SL2", n18, action)
@@ -220,7 +185,7 @@ def heisenberg_pipeline() -> HeisenbergReport:
     for i, (_, _, _, a) in enumerate(basis_classes):
         for j, (_, _, _, b) in enumerate(basis_classes):
             for struct, op in ((cup_struct, vee), (bracket_struct, bracket)):
-                row = {k: c for k, c in enumerate(project(op(a, b))) if c}
+                row = {k: c for k, c in enumerate(coords(op(a, b))) if c}
                 if row:
                     struct[(i, j)] = row
     cup = product_from_structure(n18, cup_struct)

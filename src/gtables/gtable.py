@@ -689,12 +689,6 @@ def to_latex(table: GTable) -> str:
 
 
 def to_json_obj(table: GTable):
-    summands = []
-    for s in table.source.summands:
-        entry = {"id": s.id, "irrep": s.irrep.to_json()}
-        if s.hwv_weight is not None:
-            entry["hwv_weight"] = s.hwv_weight
-        summands.append(entry)
     entries = []
     src_order = {s.id: i for i, s in enumerate(table.source.summands)}
     for (r1, r2) in sorted(table.entries,
@@ -705,7 +699,7 @@ def to_json_obj(table: GTable):
     return {
         "group": table.registry.group,
         "labeling": table.registry.labeling,
-        "summands": summands,
+        "summands": table.source.to_json(),
         "entries": entries,
     }
 

@@ -183,12 +183,6 @@ def s3_sign(a):
     return -1 if a in ("(12)", "(23)", "(13)") else 1
 
 
-S3_CHARACTERS = {
-    "tr": {g: 1 for g in S3_ELEMENTS},
-    "sg": {g: s3_sign(g) for g in S3_ELEMENTS},
-    "std": {"()": 2, "(12)": 0, "(23)": 0, "(13)": 0, "(123)": -1, "(132)": -1},
-}
-
 _STD_MATRICES = {
     "()": [[1, 0], [0, 1]],
     "(12)": [[0, 1], [1, 0]],
@@ -650,7 +644,10 @@ def highest_weight_vectors(M: GModule):
 
 def sl2_summand(module, registry, weight, hwv, sid):
     """Embed the weight-n model along the F-orbit of the given highest weight vector."""
-    model = registry.models[IrrepId("SL2", weight)]
+    model = registry.models.get(IrrepId("SL2", weight))
+    if model is None:
+        raise ValueError("highest weight %d is outside the SL2 labeling %s"
+                         % (weight, registry.labeling))
     Fmod = module.action["F"]
     Fmodel = model.action["F"]
     w = tuple(map(canon, hwv))
@@ -708,28 +705,19 @@ def block_decomposition(registry: IntertwinerRegistry, summands) -> Decompositio
     return Decomposition(module, registry, out)
 
 
-def s3_isotypic_projector(M: GModule, char):
-    chi = S3_CHARACTERS[char]
-    dim_chi = 2 if char == "std" else 1
-    P = Matrix.zeros(M.dim, M.dim)
-    for g in S3_ELEMENTS:
-        P = P + M.action[g].scale(chi[s3_inverse(g)])
-    return P.scale(div(dim_chi, 6))
-
-
 def _image_basis(P: Matrix):
     V = Subspace(P.nrows, [P.col(j) for j in range(P.ncols)])
     return [list(b) for b in V.basis]
 
 
 def decompose_s3(M: GModule, registry: IntertwinerRegistry, generators=None) -> Decomposition:
-    """Decompose an S3 module via character projectors.
+    """Decompose an S3 module by the matrix-unit projectors of the models.
 
     ``generators`` optionally injects summands as a list of
     (id, label, [vectors]) where 1-dimensional types take one vector and the
-    standard type takes the images of e1, e2.  Otherwise canonical bases are
-    produced: echelon bases of the isotypic images for tr/sg, and for std the
-    matrix-unit construction that matches the model action.
+    standard type takes the images of e1, e2.  Otherwise, for each of the
+    registry's models in order, the copies are the echelon basis of the image
+    of its first projector, each completed so that it matches the model action.
     """
     if generators is not None:
         summands = []
@@ -740,30 +728,23 @@ def decompose_s3(M: GModule, registry: IntertwinerRegistry, generators=None) -> 
         return Decomposition(M, registry, summands)
 
     summands = []
-    for char in ("tr", "sg"):
-        basis = _image_basis(s3_isotypic_projector(M, char))
-        for i, v in enumerate(basis):
-            sid = "%s.%d" % (char, i) if len(basis) > 1 else char
-            summands.append(Summand(sid, IrrepId("S3", char),
-                                    Matrix.from_cols([v], nrows=M.dim)))
-    # std isotypic: p_ij = (2/6) sum_g std(g^-1)_{ji} pi(g); copies are the
-    # echelon basis of im(p_11), completed by u_i = p_i1 v
-    p = {}
-    for i in (1, 2):
-        for j in (1, 2):
+    # per model rho of dimension d: p_i = (d/6) sum_g rho(g^-1)[0, i] pi(g);
+    # the copies are the echelon basis of im(p_0), each embedded by p_i v
+    for model in registry.models.values():
+        p = []
+        for i in range(model.dim):
             acc = Matrix.zeros(M.dim, M.dim)
             for g in S3_ELEMENTS:
-                coef = _STD_MATRICES[s3_inverse(g)][j - 1][i - 1]
+                coef = model.action[s3_inverse(g)][0, i]
                 if coef:
                     acc = acc + M.action[g].scale(coef)
-            p[(i, j)] = acc.scale(div(2, 6))
-    copies = _image_basis(p[(1, 1)])
-    for i, v in enumerate(copies):
-        u1 = p[(1, 1)].matvec(v)
-        u2 = p[(2, 1)].matvec(v)
-        sid = "std.%d" % i if len(copies) > 1 else "std"
-        summands.append(Summand(sid, IrrepId("S3", "std"),
-                                Matrix.from_cols([u1, u2], nrows=M.dim)))
+            p.append(acc.scale(div(model.dim, 6)))
+        copies = _image_basis(p[0])
+        label = model.id.label
+        for t, v in enumerate(copies):
+            sid = "%s.%d" % (label, t) if len(copies) > 1 else label
+            summands.append(Summand(sid, model.id, Matrix.from_cols(
+                [pi.matvec(v) for pi in p], nrows=M.dim)))
     return Decomposition(M, registry, summands)
 
 

@@ -30,10 +30,10 @@ from itertools import combinations, product
 from math import comb, lcm
 
 from .exactla import (
+    ColumnSolver,
     Matrix,
     Subspace,
     canon,
-    coords_modulo,
     join_terms,
     kernel,
     rref,
@@ -508,18 +508,43 @@ def cohomology(ctx: ComplexContext, p, q, reps=None):
     return out, boundary
 
 
-def class_coords(z: BigradedElement, reps, boundary, ctx):
-    """Coordinates of the class [z] in the representative basis."""
-    if not differential(z, ctx).is_zero():
-        raise NotACocycle("class_coords needs a cocycle")
-    if z.is_zero():
-        return tuple(0 for _ in reps)
-    p, q = reps[0].bidegree() if reps else z.bidegree()
-    basis = monomial_basis(ctx.n, p, q)
-    lam = coords_modulo(to_coords(z, basis),
-                        [to_coords(r, basis) for r in reps], boundary)
-    assert lam is not None, "cocycle not spanned by representatives mod boundaries"
-    return lam
+def class_coordinates(ctx: ComplexContext, reps):
+    """The map z -> coefficients (a tuple) of the class of z over ``reps``.
+
+    ``reps`` are homogeneous cocycles of any bidegrees; ``cohomology``
+    certifies those of each bidegree as a basis of its cohomology, and one
+    ColumnSolver per bidegree is factored over [reps | boundary rows].  As the
+    reps are complete, a component of z that does not solve is not closed
+    (NotACocycle); one in a bidegree without reps raises ValueError.
+    """
+    positions = {}
+    for t, z in enumerate(reps):
+        positions.setdefault(z.bidegree(), []).append(t)
+    solvers = {}
+    for (p, q), where in positions.items():
+        chosen, boundary = cohomology(ctx, p, q, reps=[reps[t] for t in where])
+        basis = monomial_basis(ctx.n, p, q)
+        cols = [{i: x for i, x in enumerate(to_coords(z, basis)) if x}
+                for z in chosen]
+        solvers[(p, q)] = (basis, where,
+                           ColumnSolver(cols + list(boundary.rows), len(basis)))
+
+    def coords(z):
+        out = [0] * len(reps)
+        for pq, part in z.parts().items():
+            if pq not in solvers:
+                raise ValueError("no representatives in bidegree %s" % (pq,))
+            basis, where, solver = solvers[pq]
+            x = solver.solve(to_coords(part, basis))
+            if x is None:
+                raise NotACocycle("component of bidegree %s is not closed"
+                                  % (pq,))
+            # the reps come first; the boundary coefficients are dropped
+            for t, c in zip(where, x):
+                out[t] = c
+        return tuple(out)
+
+    return coords
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ def run_cli(capsys, *argv):
     (["sl3", "--format", "latex"], "sl3.tex"),
     (["poly", "--max-degree", "3"], "poly3.txt"),
     (["gln", "check", "--n", "3"], "gln3_check.txt"),
+    (["heisenberg", "report", "--format", "json"], "heisenberg_report.json"),
 ])
 def test_subcommand_golden(capsys, golden, argv, name):
     code, out, err = run_cli(capsys, *argv)
@@ -118,6 +119,28 @@ def test_extract_spec_small_algebra(capsys, tmp_path):
     obj = json.loads(out)
     assert obj["entries"] == [
         {"r1": "h_1", "r2": "h_1", "s": "h_0", "q": 1, "c": "1"}]
+
+
+def test_extract_spec_weight_outside_the_labeling(capsys, tmp_path):
+    # V_3 has no model in the SL2 labeling; found by the automatic
+    # decomposition, it is an input error like an explicit summand of weight 3
+    spec = {
+        "group": "SL2",
+        "dim": 4,
+        "action": {
+            "E": [[0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3], [0, 0, 0, 0]],
+            "H": [[3, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -3]],
+            "F": [[0, 0, 0, 0], [3, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0]],
+        },
+        "product": [],
+    }
+    path = tmp_path / "v3.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "extract", "--spec", str(path))
+    assert code == 2
+    assert err == ("input error: highest weight 3 is outside the SL2 "
+                   "labeling sl2-partial\n")
+    assert out == ""
 
 
 def test_extract_spec_sums_repeated_entries(capsys, tmp_path):

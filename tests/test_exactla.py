@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -384,6 +386,41 @@ def test_column_solver_matches_rref_reference(canonical):
             assert [sum((c * col[i] for c, col in zip(x, cols)), F(0))
                     for i in range(n)] == z
     assert all(seen.values()), seen
+
+
+_I18 = Matrix.identity(18)
+_S9 = Subspace(18, [_I18.row(i) for i in range(9)])
+_SOLVER18 = ColumnSolver([{i: 1} for i in range(18)], 18)
+_UNITS18 = [_I18.col(j) for j in range(18)]
+
+
+_DENSE_CALLS = {
+    "Matrix.row": lambda j: _I18.row(j),
+    "Matrix.col": lambda j: _I18.col(j),
+    "ColumnSolver.solve": lambda j: _SOLVER18.solve(_UNITS18[j]),
+    "Subspace.reduce": lambda j: _S9.reduce(_UNITS18[j]),
+    "Subspace.basis": lambda j: _S9.basis,
+}
+
+
+@pytest.mark.parametrize("name", list(_DENSE_CALLS))
+def test_dense_tuples_leave_no_garbage(name):
+    # a tuple grown from an iterator is resized after it is filled, so the
+    # free list of its final size never hands it out, and freed ones pile up
+    # there until a full collection; tuples built from lists are reused
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(20):
+            for j in range(18):
+                _DENSE_CALLS[name](j)
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert left < 16 * 1024, "%s left %d bytes allocated" % (name, left)
 
 
 def _half_zero(rng, nrows, ncols):

@@ -328,6 +328,15 @@ def test_decompose_sl2_auto_weights_on_c11():
     assert sorted(s.hwv_weight for s in dec.summands) == [0, 0, 1, 1, 2]
 
 
+def test_decompose_sl2_weight_outside_the_labeling():
+    # V_3 has a model in the polynomial labeling but not in the SL2 one
+    m = sl2_poly_labeling(3).models[IrrepId("SL2", 3)]
+    M = GModule("SL2", m.dim, m.action)
+    with pytest.raises(ValueError, match="highest weight 3 is outside the "
+                                         "SL2 labeling sl2-partial"):
+        decompose_sl2(M, builtin_labeling("SL2"))
+
+
 def test_decompose_s3_group_algebra_reference_spans():
     reg = builtin_labeling("S3")
     M = group_algebra_s3_conjugation()
@@ -350,6 +359,23 @@ def test_decompose_s3_group_algebra_reference_spans():
     one3 = [F(2, 3), 0, 0, 0, F(-1, 3), F(-1, 3)]
     from gtables.exactla import solve
     assert solve(A, one3) is not None
+
+
+def test_decompose_s3_left_regular_module():
+    # K[S3] under left multiplication: tr + sg + two copies of std, each
+    # copy embedded by the matrix-unit projectors of the std model
+    reg = builtin_labeling("S3")
+    idx = {g: i for i, g in enumerate(S3_ELEMENTS)}
+    action = {g: Matrix.from_cols(
+        [[1 if i == idx[s3_compose(g, h)] else 0 for i in range(6)]
+         for h in S3_ELEMENTS], nrows=6) for g in S3_ELEMENTS}
+    dec = decompose_s3(GModule("S3", 6, action), reg)
+    assert [(s.id, s.irrep.label) for s in dec.summands] == [
+        ("tr", "tr"), ("sg", "sg"), ("std.0", "std"), ("std.1", "std")]
+    std = reg.models[IrrepId("S3", "std")]
+    for s in dec.summands[2:]:
+        for g in S3_ELEMENTS:
+            assert action[g] @ s.tau == s.tau @ std.action[g]
 
 
 def test_decompose_s3_std_tensor_square():

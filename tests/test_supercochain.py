@@ -5,8 +5,12 @@ from fractions import Fraction
 import pytest
 
 import gtables.supercochain as sc
-from gtables.exactla import Matrix, Subspace
-from gtables.verify import _bracket_peeling, cohomology_mismatches
+from gtables.exactla import Matrix, Subspace, coords_modulo
+from gtables.verify import (
+    _bracket_peeling,
+    _coords_modulo_rref,
+    cohomology_mismatches,
+)
 from gtables.supercochain import (
     BigradedElement,
     ComplexContext,
@@ -15,7 +19,7 @@ from gtables.supercochain import (
     _spaces,
     _weights,
     bracket,
-    class_coords,
+    class_coordinates,
     cohomology,
     differential,
     element_to_json,
@@ -316,14 +320,13 @@ def test_heisenberg_cohomology_dims():
 def test_class_coords_basics():
     ctx = heisenberg_context()
     reps, boundary = cohomology(ctx, 1, 1)
-    assert class_coords(reps[0], reps, boundary, ctx) == \
-        tuple(F(1 if i == 0 else 0) for i in range(4))
+    coords = class_coordinates(ctx, reps)
+    assert coords(reps[0]) == tuple(F(1 if i == 0 else 0) for i in range(4))
     dw = differential(M((), (0,)), ctx)  # d of 1 (x) x_1 lands in C^{1,1}
     assert not dw.is_zero()
-    assert class_coords(dw, reps, boundary, ctx) == (0, 0, 0, 0)
+    assert coords(dw) == (0, 0, 0, 0)
     z = reps[0] + dw
-    assert class_coords(z, reps, boundary, ctx) == \
-        tuple(F(1 if i == 0 else 0) for i in range(4))
+    assert coords(z) == tuple(F(1 if i == 0 else 0) for i in range(4))
 
 
 def test_terms_outside_the_basis_are_named():
@@ -335,8 +338,9 @@ def test_terms_outside_the_basis_are_named():
         cohomology(ctx, 1, 0, reps=[e2, e2])
     reps, boundary = cohomology(ctx, 1, 0)
     xi01 = M((0, 1), ())  # closed, of bidegree (2, 0)
-    with pytest.raises(ValueError, match=re.escape(msg % (((0, 1), ()),))):
-        class_coords(xi01, reps, boundary, ctx)
+    with pytest.raises(ValueError,
+                       match=re.escape("no representatives in bidegree (2, 0)")):
+        class_coordinates(ctx, reps)(xi01)
     with pytest.raises(ValueError, match="empty bidegree"):
         to_coords(e2, monomial_basis(3, 4, 1))
 
@@ -347,7 +351,7 @@ def test_class_coords_rejects_non_cocycle():
     bad = M((2,), (0,))  # h^0 (x) x_1 is not closed
     assert not differential(bad, ctx).is_zero()
     with pytest.raises(NotACocycle):
-        class_coords(bad, reps, boundary, ctx)
+        class_coordinates(ctx, reps)(bad)
 
 
 def test_induced_products_well_defined():
@@ -355,6 +359,8 @@ def test_induced_products_well_defined():
     rng = random.Random(109)
     r11, b11 = cohomology(ctx, 1, 1)
     r22, b22 = cohomology(ctx, 2, 2)
+    c11 = class_coordinates(ctx, r11)
+    c22 = class_coordinates(ctx, r22)
     for _ in range(25):
         z = r11[rng.randrange(4)]
         zp = r11[rng.randrange(4)]
@@ -362,12 +368,99 @@ def test_induced_products_well_defined():
         wp = rand_homogeneous(rng, 3, 0, 1)
         z2 = z + differential(w, ctx)
         zp2 = zp + differential(wp, ctx)
-        cup1 = class_coords(vee(z, zp), r22, b22, ctx)
-        cup2 = class_coords(vee(z2, zp2), r22, b22, ctx)
-        assert cup1 == cup2
-        br1 = class_coords(bracket(z, zp), r11, b11, ctx)
-        br2 = class_coords(bracket(z2, zp2), r11, b11, ctx)
-        assert br1 == br2
+        assert c22(vee(z, zp)) == c22(vee(z2, zp2))
+        assert c11(bracket(z, zp)) == c11(bracket(z2, zp2))
+
+
+HEISENBERG_ALGEBRAS = {
+    "h3": (3, {(0, 1): {2: 1}}),
+    "h5": (5, {(0, 1): {4: 1}, (2, 3): {4: 1}}),
+}
+
+
+@pytest.mark.parametrize("name", list(HEISENBERG_ALGEBRAS))
+def test_class_coordinates_match_coords_modulo(name):
+    # seeded combinations of the default representatives plus coboundaries,
+    # in every bidegree, against the one-shot coords_modulo and its rref
+    # reference; then sums over several bidegrees and the zero element
+    n, brackets = HEISENBERG_ALGEBRAS[name]
+    ctx = ComplexContext.from_brackets(n, brackets)
+    rng = random.Random(4242)
+    reps, where, boundaries = [], {}, {}
+    for p in range(n + 1):
+        for q in range(n + 1):
+            r, boundaries[(p, q)] = cohomology(ctx, p, q)
+            where[(p, q)] = list(range(len(reps), len(reps) + len(r)))
+            reps.extend(r)
+    coords = class_coordinates(ctx, reps)
+    assert coords(BigradedElement.zero()) == (0,) * len(reps)
+    samples = []
+    for (p, q), pos in where.items():
+        basis = monomial_basis(n, p, q)
+        dense = [to_coords(reps[t], basis) for t in pos]
+        for _ in range(3):
+            lam = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in pos]
+            z = BigradedElement.zero()
+            for t, c in zip(pos, lam):
+                z = z + reps[t].scale(c)
+            if p:
+                z = z + differential(rand_homogeneous(rng, n, p - 1, q), ctx)
+            got = coords(z)
+            zc = to_coords(z, basis)
+            want = coords_modulo(zc, dense, boundaries[(p, q)])
+            assert want == _coords_modulo_rref(zc, dense, boundaries[(p, q)])
+            assert [got[t] for t in pos] == list(want) == lam
+            assert not any(c for t, c in enumerate(got) if t not in pos)
+            samples.append((z, got))
+    for _ in range(20):
+        picked = rng.sample(samples, rng.randint(2, 6))
+        total = BigradedElement.zero()
+        for z, _ in picked:
+            total = total + z
+        assert coords(total) == tuple(
+            sum(got[t] for _, got in picked) for t in range(len(reps)))
+
+
+def test_class_coordinates_factor_one_solver_per_bidegree(monkeypatch):
+    ctx = heisenberg_context()
+    built = []
+
+    class Counting(sc.ColumnSolver):
+        def __init__(self, cols, n):
+            built.append(n)
+            super().__init__(cols, n)
+
+    monkeypatch.setattr(sc, "ColumnSolver", Counting)
+    bidegrees = [(1, 1), (2, 2), (0, 0)]
+    reps = [z for p, q in bidegrees for z in cohomology(ctx, p, q)[0]]
+    coords = class_coordinates(ctx, reps)
+    assert len(built) == len(bidegrees)
+    rng = random.Random(7)
+    for _ in range(60):
+        a, b = rng.choice(reps), rng.choice(reps)
+        for z in (vee(a, b), bracket(a, b)):
+            if all(pq in bidegrees for pq in z.parts()):
+                coords(z)
+    assert len(built) == len(bidegrees)
+
+
+def test_class_coordinates_errors_name_the_bidegree():
+    ctx = heisenberg_context()
+    r00 = cohomology(ctx, 0, 0)[0]
+    r11 = cohomology(ctx, 1, 1)[0]
+    coords = class_coordinates(ctx, r00 + r11)
+    good = r00[0] + r11[2]
+    assert coords(good) == (1, 0, 0, 1, 0)
+    bad = M((2,), (0,))  # h^0 (x) x_1 is not closed
+    with pytest.raises(NotACocycle, match=re.escape("bidegree (1, 1)")):
+        coords(good + bad)
+    with pytest.raises(ValueError, match=re.escape("bidegree (2, 2)")):
+        coords(good + M((0, 1), (0, 1)))
+    # the representatives of each bidegree are certified by cohomology
+    with pytest.raises(ValueError, match="expected 4 representatives"):
+        class_coordinates(ctx, r11[:3])
+    with pytest.raises(NotACocycle):
+        class_coordinates(ctx, r11[:3] + [bad])
 
 
 def test_injected_representatives_are_verified():
