@@ -2,6 +2,8 @@
 
 Every fixture extracts its table from first principles and compares against a
 hard-coded expected table; a FixtureMismatch carries the first differing cell.
+Each product is built once as structure constants on a basis of the algebra
+(``gtable.structure_constants``) and evaluated by ``product_from_structure``.
 """
 
 from __future__ import annotations
@@ -10,8 +12,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..exactla import div, scalar_from_str
-from ..gtable import GTable, cotable, extract, product_from_structure
+from ..gtable import (
+    GTable,
+    cotable,
+    extract,
+    product_from_structure,
+    structure_constants,
+)
 from ..repkit import (
+    S3_ELEMENTS,
     GModule,
     IrrepId,
     block_decomposition,
@@ -21,9 +30,8 @@ from ..repkit import (
     glk_ad,
     glk_basis,
     glk_coords,
-    glk_matrix,
     group_algebra_s3_conjugation,
-    s3_group_algebra_product,
+    s3_compose,
     sl2_poly_labeling,
     smat_add,
     smat_comm,
@@ -64,7 +72,7 @@ def compare(label, got: GTable, want: GTable):
 class FixtureReport:
     label: str
     tables: dict  # name -> GTable
-    products: dict = None  # name -> bilinear callable on module coordinates
+    products: dict = None  # name -> product_from_structure evaluator
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +138,15 @@ def s3_fixture() -> FixtureReport:
     """K[S3] with the conjugation action: group-algebra table and the cotable
     of Delta(g) = g (x) g under the orthonormal-group-basis identification."""
     reg, dec = s3_decomposition()
-    table = extract(s3_group_algebra_product(), dec, reg)
+    product = product_from_structure(6, structure_constants(
+        S3_ELEMENTS, s3_compose, lambda g: [int(g == h) for h in S3_ELEMENTS]))
+    table = extract(product, dec, reg)
     compare("K[S3] table", table, expected_table(dec, reg, S3_TABLE))
     delta = {(i, i): {i: 1} for i in range(6)}  # its own dual product
     cot = cotable(delta, dec, reg)
     compare("K[S3] cotable", cot, expected_table(dec, reg, S3_COTABLE))
     return FixtureReport("K[S3]", {"table": table, "cotable": cot},
-                         {"table": s3_group_algebra_product(),
+                         {"table": product,
                           "cotable": product_from_structure(6, delta)})
 
 
@@ -155,12 +165,10 @@ def _mk_module_and_product(k):
 
     def to_coords(A):
         scalar = div(smat_trace(A, k), k)
-        return tuple([scalar] +
-                     glk_coords(smat_add(A, smat_scale(-scalar, ident)), k))
+        return [scalar] + glk_coords(smat_add(A, smat_scale(-scalar, ident)), k)
 
-    def product(u, v):
-        return to_coords(smat_mul(glk_matrix(u, full), glk_matrix(v, full)))
-
+    product = product_from_structure(
+        k * k, structure_constants(full, smat_mul, to_coords))
     return reg, dec, product
 
 
@@ -221,12 +229,9 @@ def sl3_fixture() -> FixtureReport:
     basis, names = glk_basis(3)
     action = {op: glk_ad(P, 3, basis) for op, P in CORNER_SL2.items()}
     module = GModule("SL2", 8, action, basis_names=names)
-
-    def lie(u, v):
-        A, B = glk_matrix(u, basis), glk_matrix(v, basis)
-        return tuple(glk_coords(smat_comm(A, B), 3))
-
     coords = lambda A: glk_coords(A, 3)
+    lie = product_from_structure(
+        8, structure_constants(basis, smat_comm, coords))
     hwvs = [
         ("V_0", 0, coords({(0, 0): 1, (1, 1): 1, (2, 2): -2})),
         ("V_2", 2, coords({(0, 1): 1})),

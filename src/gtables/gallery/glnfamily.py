@@ -13,7 +13,12 @@ in the second, where sym(A, B) = AB + BA - (2/n) tr(AB) I.
 from __future__ import annotations
 
 from ..exactla import Matrix, canon
-from ..gtable import extract, poisson_axioms, product_from_structure
+from ..gtable import (
+    extract,
+    poisson_axioms,
+    product_from_structure,
+    structure_constants,
+)
 from ..repkit import (
     GModule,
     IrrepId,
@@ -81,14 +86,7 @@ def _coords(u):
 
 def _structure(n, op):
     """Structure constants {(i, j): {k: c}} of op on the coordinate basis."""
-    basis = _basis_elements(n)
-    struct = {}
-    for i, u in enumerate(basis):
-        for j, v in enumerate(basis):
-            row = {k: c for k, c in enumerate(_coords(op(u, v))) if c}
-            if row:
-                struct[(i, j)] = row
-    return struct
+    return structure_constants(_basis_elements(n), op, _coords)
 
 
 def _extract(n, op, dec, reg, op_symbol="*"):

@@ -13,7 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..exactla import Matrix
-from ..gtable import GTable, extract, product_from_structure
+from ..gtable import (
+    GTable,
+    extract,
+    product_from_structure,
+    structure_constants,
+)
 from ..repkit import (
     Decomposition,
     GModule,
@@ -152,7 +157,8 @@ def heisenberg_pipeline() -> HeisenbergReport:
     basis_classes = [(sid, j, pq, elt) for sid, pq, w, rep in HW_REPRESENTATIVES
                      for j, elt in enumerate(_orbit(ctx, rep, w))]
     n18 = len(basis_classes)
-    coords = class_coordinates(ctx, [elt for (_, _, _, elt) in basis_classes])
+    classes = [elt for (_, _, _, elt) in basis_classes]
+    coords = class_coordinates(ctx, classes)
 
     # class_coordinates certified the classes of each bidegree as a basis of
     # its cohomology, so their number there is the Betti number
@@ -175,19 +181,12 @@ def heisenberg_pipeline() -> HeisenbergReport:
 
     action = {}
     for op in ("E", "H", "F"):
-        cols = [coords(sl2_act(op, elt, ctx))
-                for (_, _, _, elt) in basis_classes]
+        cols = [coords(sl2_act(op, elt, ctx)) for elt in classes]
         action[op] = Matrix.from_cols(cols, nrows=n18)
     module = GModule("SL2", n18, action)
 
-    cup_struct = {}
-    bracket_struct = {}
-    for i, (_, _, _, a) in enumerate(basis_classes):
-        for j, (_, _, _, b) in enumerate(basis_classes):
-            for struct, op in ((cup_struct, vee), (bracket_struct, bracket)):
-                row = {k: c for k, c in enumerate(coords(op(a, b))) if c}
-                if row:
-                    struct[(i, j)] = row
+    cup_struct = structure_constants(classes, vee, coords)
+    bracket_struct = structure_constants(classes, bracket, coords)
     cup = product_from_structure(n18, cup_struct)
     brk = product_from_structure(n18, bracket_struct)
 

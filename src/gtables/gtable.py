@@ -14,7 +14,8 @@ doubles as a non-equivariance (or wrong-registry) detector: only then is the
 product checked operator by operator, to tell the two apart.
 
 Ordinary structure constants have one form, {(i, j): {k: c}} without zeros,
-for e_i * e_j = sum_k c e_k: ``expand`` returns it, ``product_from_structure``
+for e_i * e_j = sum_k c e_k: ``structure_constants`` builds it from a
+bilinear operation on a basis, ``expand`` returns it, ``product_from_structure``
 is its one evaluator and ``poisson_axioms`` its one axiom checker.
 """
 
@@ -224,6 +225,18 @@ def _first_index(struct):
     for (i, j), row in struct.items():
         out.setdefault(i, []).append((j, row))
     return out
+
+
+def structure_constants(basis, op, coords):
+    """Structure constants {(i, j): {k: c}} of the bilinear ``op`` on
+    ``basis``: row (i, j) holds the nonzero coords(op(basis[i], basis[j]))."""
+    struct = {}
+    for i, u in enumerate(basis):
+        for j, v in enumerate(basis):
+            row = {k: c for k, c in enumerate(coords(op(u, v))) if c}
+            if row:
+                struct[(i, j)] = row
+    return struct
 
 
 def product_from_structure(n, struct):

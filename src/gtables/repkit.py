@@ -14,8 +14,8 @@ A separate SL2 labeling by homogeneous polynomial degree (models K[x,y]_r,
 intertwiner = polynomial multiplication) supports graded polynomial algebras.
 
 The GL(k) labeling and the gallery share one kit on sparse {(i, j): c}
-matrices (smat_*, glk_coords and its inverse glk_matrix, glk_ad), and a
-direct sum of models with its block inclusions is block_decomposition.
+matrices (smat_*, glk_coords, glk_ad), and a direct sum of models with its
+block inclusions is block_decomposition.
 """
 
 from __future__ import annotations
@@ -436,17 +436,6 @@ def glk_coords(A, k):
     return coords
 
 
-def glk_matrix(coords, basis):
-    """The sparse matrix sum of coords[t] * basis[t]; with ``basis`` from
-    glk_basis(k), the inverse of glk_coords."""
-    A = {}
-    for x, B in zip(coords, basis):
-        if x:
-            for key, v in B.items():
-                A[key] = A.get(key, 0) + x * v
-    return {key: v for key, v in A.items() if v}
-
-
 def smat_mul(A, B):
     """Sparse {(i,j): c} matrix product."""
     rows = {}
@@ -705,11 +694,6 @@ def block_decomposition(registry: IntertwinerRegistry, summands) -> Decompositio
     return Decomposition(module, registry, out)
 
 
-def _image_basis(P: Matrix):
-    V = Subspace(P.nrows, [P.col(j) for j in range(P.ncols)])
-    return [list(b) for b in V.basis]
-
-
 def decompose_s3(M: GModule, registry: IntertwinerRegistry, generators=None) -> Decomposition:
     """Decompose an S3 module by the matrix-unit projectors of the models.
 
@@ -739,7 +723,7 @@ def decompose_s3(M: GModule, registry: IntertwinerRegistry, generators=None) -> 
                 if coef:
                     acc = acc + M.action[g].scale(coef)
             p.append(acc.scale(div(model.dim, 6)))
-        copies = _image_basis(p[0])
+        copies = Subspace(M.dim, [p[0].col(j) for j in range(M.dim)]).basis
         label = model.id.label
         for t, v in enumerate(copies):
             sid = "%s.%d" % (label, t) if len(copies) > 1 else label
@@ -763,19 +747,3 @@ def group_algebra_s3_conjugation() -> GModule:
             cols.append(_unit(6, idx[target]))
         action[g] = Matrix.from_cols(cols, nrows=6)
     return GModule("S3", 6, action, basis_names=list(S3_ELEMENTS))
-
-
-def s3_group_algebra_product():
-    """Structure constants of K[S3]: product of basis group elements."""
-    idx = {g: i for i, g in enumerate(S3_ELEMENTS)}
-
-    def product(u, v):
-        out = [0] * 6
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    if b:
-                        out[idx[s3_compose(S3_ELEMENTS[i], S3_ELEMENTS[j])]] += a * b
-        return tuple(out)
-
-    return product

@@ -13,6 +13,12 @@ over the degree-one generators g and their partners g* (xi_i <-> e_i), with a
 right derivative on a and a left derivative on b.  The tests compare it with
 the biderivation extension computed by peeling one factor at a time.
 
+An action of sl(2) on g by derivations X acts on cochains through the same
+bracket: X^ = -sum X[b, j] xi_j (x) e_b in C^{1,1} has {X^, e_j} = X e_j and
+{X^, xi_i} = -(X^T xi)_i, so ``sl2_act`` is {X^, -}.  The context checks on
+load that the matrices satisfy the sl(2) relations and that {mu, X^} = 0,
+i.e. that each X is a derivation of g.
+
 Cohomology is computed one weight block at a time.  The diagonal derivations
 e_i -> w_i e_i of g (w_i + w_j = w_k for every term xi_i xi_j (x) e_k of mu)
 form a torus, and xi_I (x) e_J has weight sum w_J - sum w_I under it.  mu has
@@ -40,6 +46,7 @@ from .exactla import (
     scalar_to_str,
     signed_term,
 )
+from .repkit import GModule
 
 
 class NotACocycle(Exception):
@@ -184,8 +191,10 @@ def _word_bracket(wa, wb):
         sign, word = st
         if (last - p + s) % 2:
             sign = -sign
-        out.append((sign, tuple(x for k, x in word if not k),
-                    tuple(x for k, x in word if k)))
+        # from lists: a tuple grown from an iterator is never reused from the
+        # free list of its size (see product_from_structure in gtable)
+        out.append((sign, tuple([x for k, x in word if not k]),
+                    tuple([x for k, x in word if k])))
     return out
 
 
@@ -218,6 +227,8 @@ class ComplexContext:
 
     mu lives in bidegree (2,1); {mu,mu} = 0 is verified on construction, which
     is exactly the Jacobi identity for the encoded bracket (and gives d^2 = 0).
+    ``sl2`` maps E, H, F to n x n matrices; they must satisfy the sl(2)
+    relations and act on g by derivations, {mu, X^} = 0.
     """
 
     def __init__(self, n, mu, gnames=None, gstar_names=None, sl2=None):
@@ -226,13 +237,24 @@ class ComplexContext:
         self.gnames = gnames or ["e%d" % i for i in range(n)]
         self.gstar_names = gstar_names or ["x%d" % i for i in range(n)]
         self.sl2 = sl2
-        self._dual = None
         self._cache = {}
         if any(len(I) != 2 or len(J) != 1 for (I, J) in mu.terms):
             raise ValueError("mu must be homogeneous of bidegree (2,1)")
         if not bracket(mu, mu).is_zero():
             raise ValueError("{mu,mu} != 0: structure constants violate Jacobi")
         self._mu_words = _words(mu)  # built once, read by every differential
+        self._sl2_words = {}  # op -> words of X^, read by every sl2_act
+        if sl2 is not None:
+            GModule("SL2", n, sl2)  # the sl(2) relations
+            for op, X in sl2.items():
+                if X.shape != (n, n):
+                    raise ValueError("sl2 operator %s is not %d x %d" % (op, n, n))
+                hat = BigradedElement({((j,), (b,)): -x
+                                       for b, j, x in X.entries()})
+                if not bracket(mu, hat).is_zero():
+                    raise ValueError("sl2 operator %s is not a derivation of g"
+                                     % op)
+                self._sl2_words[op] = _words(hat)
 
     @staticmethod
     def from_brackets(n, brackets, gnames=None, gstar_names=None, sl2=None):
@@ -245,13 +267,6 @@ class ComplexContext:
                 key = ((i, j), (k,))
                 terms[key] = terms.get(key, 0) + canon(c)
         return ComplexContext(n, BigradedElement(terms), gnames, gstar_names, sl2)
-
-    def dual_action(self, op):
-        if self._dual is None:
-            self._dual = {}
-        if op not in self._dual:
-            self._dual[op] = self.sl2[op].transpose().scale(-1)
-        return self._dual[op]
 
 
 def heisenberg_context() -> ComplexContext:
@@ -278,30 +293,9 @@ def differential(c: BigradedElement, ctx: ComplexContext) -> BigradedElement:
 
 
 def sl2_act(op, c: BigradedElement, ctx: ComplexContext) -> BigradedElement:
-    """Derivation extension of the g-action (duals carry minus transpose)."""
-    X = ctx.sl2[op]
-    Xd = ctx.dual_action(op)
-    out = {}
-    for (I, J), coef in c.terms.items():
-        # replacing one index keeps the other tuple canonical, so only the
-        # replaced one needs sorting
-        for t, i in enumerate(I):
-            for a in range(ctx.n):
-                x = Xd[a, i]
-                if x:
-                    st = _sort_tuple(I[:t] + (a,) + I[t + 1:])
-                    if st is not None:
-                        key = (st[1], J)
-                        out[key] = out.get(key, 0) + st[0] * coef * x
-        for t, j in enumerate(J):
-            for b in range(ctx.n):
-                x = X[b, j]
-                if x:
-                    st = _sort_tuple(J[:t] + (b,) + J[t + 1:])
-                    if st is not None:
-                        key = (I, st[1])
-                        out[key] = out.get(key, 0) + st[0] * coef * x
-    return BigradedElement(out)
+    """X c = {X^, c}, the derivation extension of the action of X = sl2[op]
+    on g (duals carry minus the transpose)."""
+    return _bracket_words(ctx._sl2_words[op], c)
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +453,6 @@ def _graded(ctx, p, q):
     return ctx._cache[key]
 
 
-def _spaces(ctx, p, q):
-    """(cocycles, boundary) of C^{p,q}."""
-    return _graded(ctx, p, q)[:2]
-
-
 def _independent_modulo(W, vecs):
     """Indices of the vectors outside span(W) + span(the vectors before them).
 
@@ -515,25 +504,33 @@ def class_coordinates(ctx: ComplexContext, reps):
     certifies those of each bidegree as a basis of its cohomology, and one
     ColumnSolver per bidegree is factored over [reps | boundary rows].  As the
     reps are complete, a component of z that does not solve is not closed
-    (NotACocycle); one in a bidegree without reps raises ValueError.
+    (NotACocycle).  A bidegree without reps is factored over its boundary
+    rows alone on first use, where a closed component has the zero class if
+    its cohomology is zero; elsewhere it raises ValueError.
     """
     positions = {}
     for t, z in enumerate(reps):
         positions.setdefault(z.bidegree(), []).append(t)
     solvers = {}
-    for (p, q), where in positions.items():
-        chosen, boundary = cohomology(ctx, p, q, reps=[reps[t] for t in where])
+
+    def factor(p, q, where, chosen, boundary):
         basis = monomial_basis(ctx.n, p, q)
         cols = [{i: x for i, x in enumerate(to_coords(z, basis)) if x}
                 for z in chosen]
         solvers[(p, q)] = (basis, where,
                            ColumnSolver(cols + list(boundary.rows), len(basis)))
 
+    for (p, q), where in positions.items():
+        factor(p, q, where, *cohomology(ctx, p, q, reps=[reps[t] for t in where]))
+
     def coords(z):
         out = [0] * len(reps)
         for pq, part in z.parts().items():
             if pq not in solvers:
-                raise ValueError("no representatives in bidegree %s" % (pq,))
+                chosen, boundary = cohomology(ctx, *pq)
+                if chosen:
+                    raise ValueError("no representatives in bidegree %s" % (pq,))
+                factor(*pq, [], [], boundary)
             basis, where, solver = solvers[pq]
             x = solver.solve(to_coords(part, basis))
             if x is None:

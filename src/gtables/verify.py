@@ -317,6 +317,23 @@ def _peel(I1, J1, I2, J2, pick):
     return (t1 + t2).scale(F(-1 if pos % 2 else 1))
 
 
+def _sl2_act_substitution(op, c, ctx):
+    """Reference for supercochain.sl2_act, which brackets with X^ in C^{1,1}:
+    the derivation extension of X = ctx.sl2[op] on g and of -X^T on g*,
+    substituted into one index of each monomial at a time."""
+    X, n = ctx.sl2[op], ctx.n
+    out = sc.BigradedElement()
+    for (I, J), coef in c.terms.items():
+        images = [((I[:t] + (a,) + I[t + 1:], J), -X[i, a])
+                  for t, i in enumerate(I) for a in range(n)]
+        images += [((I, J[:t] + (b,) + J[t + 1:]), X[b, j])
+                   for t, j in enumerate(J) for b in range(n)]
+        for (I2, J2), x in images:
+            if x:
+                out = out + sc.BigradedElement.monomial(I2, J2, coef * x)
+    return out
+
+
 def _d_matrix_unblocked(ctx, p, q):
     """Matrix of d: C^{p,q} -> C^{p+1,q} on the whole monomial bases."""
     src = sc.monomial_basis(ctx.n, p, q)
@@ -353,13 +370,13 @@ def _cohomology_unblocked(ctx, p, q):
 
 
 def cohomology_mismatches(ctx):
-    """The (p, q) where cohomology's representatives, or _spaces' cocycle and
-    boundary bases, differ from the unblocked reference."""
+    """The (p, q) where cohomology's representatives, or the cocycle and
+    boundary bases of _graded, differ from the unblocked reference."""
     bad = []
     for p in range(ctx.n + 1):
         for q in range(ctx.n + 1):
             reps, boundary = sc.cohomology(ctx, p, q)
-            cocycles, _ = sc._spaces(ctx, p, q)
+            cocycles = sc._graded(ctx, p, q)[0]
             if (reps, cocycles, boundary) != _cohomology_unblocked(ctx, p, q):
                 bad.append((p, q))
     return bad

@@ -21,6 +21,8 @@ from gtables.exactla import (
     signed_term,
     solve,
 )
+from gtables.gallery.heisenberg import HW_REPRESENTATIVES
+from gtables.supercochain import bracket
 from gtables.verify import _coords_modulo_rref, _rref_dense
 
 F = Fraction
@@ -392,6 +394,7 @@ _I18 = Matrix.identity(18)
 _S9 = Subspace(18, [_I18.row(i) for i in range(9)])
 _SOLVER18 = ColumnSolver([{i: 1} for i in range(18)], 18)
 _UNITS18 = [_I18.col(j) for j in range(18)]
+_HE_REPS = [rep for _, _, _, rep in HW_REPRESENTATIVES]
 
 
 _DENSE_CALLS = {
@@ -400,6 +403,9 @@ _DENSE_CALLS = {
     "ColumnSolver.solve": lambda j: _SOLVER18.solve(_UNITS18[j]),
     "Subspace.reduce": lambda j: _S9.reduce(_UNITS18[j]),
     "Subspace.basis": lambda j: _S9.basis,
+    # the I and J tuples of every term of a bracket (and so of d and sl2_act)
+    "supercochain.bracket": lambda j: [bracket(a, _HE_REPS[j % 10])
+                                       for a in _HE_REPS],
 }
 
 

@@ -20,10 +20,27 @@ from gtables.gallery import (
     sl3_fixture,
 )
 from gtables.gallery.glnfamily import SizeMismatch
-from gtables.repkit import s3_group_algebra_product
+from gtables.repkit import S3_ELEMENTS, s3_compose
 from gtables.verify import _expand_via_module, morphism_corpus
 
 F = Fraction
+
+
+def s3_group_algebra_product():
+    """The dense product of K[S3] on coordinates over S3_ELEMENTS, the
+    reference for the fixture's structure constants."""
+    idx = {g: i for i, g in enumerate(S3_ELEMENTS)}
+
+    def product(u, v):
+        out = [0] * 6
+        for i, a in enumerate(u):
+            if a:
+                for j, b in enumerate(v):
+                    if b:
+                        out[idx[s3_compose(S3_ELEMENTS[i], S3_ELEMENTS[j])]] += a * b
+        return tuple(out)
+
+    return product
 
 
 # -- fixed example algebras ---------------------------------------------------
@@ -98,7 +115,6 @@ def test_poly_fixture_degrees():
 def test_fixture_mismatch_reports_first_cell():
     from gtables.gallery.fixtures import compare, expected_table, s3_decomposition
     from gtables.gtable import extract
-    from gtables.repkit import s3_group_algebra_product
     reg, dec = s3_decomposition()
     t = extract(s3_group_algebra_product(), dec, reg)
     wrong = {("1_1", "1_1"): [("1_1", 1, "2")]}

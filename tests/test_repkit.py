@@ -18,7 +18,6 @@ from gtables.repkit import (
     glk_ad,
     glk_basis,
     glk_coords,
-    glk_matrix,
     group_algebra_s3_conjugation,
     highest_weight_vectors,
     s3_compose,
@@ -186,6 +185,16 @@ def test_glk_kit_against_dense_matrices(k):
         want = coords([[AX[i][j] - XA[i][j] for j in range(k)]
                        for i in range(k)])
         assert list(glk_ad(A, k, basis).matvec(x)) == want
+
+
+def glk_matrix(coords, basis):
+    """The sparse matrix sum of coords[t] * basis[t]: with ``basis`` from
+    glk_basis(k), the inverse of glk_coords."""
+    A = {}
+    for x, B in zip(coords, basis):
+        for key, v in B.items():
+            A[key] = A.get(key, 0) + x * v
+    return {key: v for key, v in A.items() if v}
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

@@ -9,6 +9,7 @@ from gtables.exactla import Matrix, Subspace, coords_modulo
 from gtables.verify import (
     _bracket_peeling,
     _coords_modulo_rref,
+    _sl2_act_substitution,
     cohomology_mismatches,
 )
 from gtables.supercochain import (
@@ -16,7 +17,7 @@ from gtables.supercochain import (
     ComplexContext,
     NotACocycle,
     _d_images,
-    _spaces,
+    _graded,
     _weights,
     bracket,
     class_coordinates,
@@ -306,6 +307,59 @@ def test_sl2_act_derivation_and_sl2_relations():
         assert act("H", act("F", a)) - act("F", act("H", a)) == act("F", a).scale(-2)
 
 
+def _units(n, entries):
+    """n x n matrix with the given {(row, col): value} entries."""
+    return Matrix.from_rows([[entries.get((i, j), 0) for j in range(n)]
+                             for i in range(n)])
+
+
+H5 = {(0, 1): {4: 1}, (2, 3): {4: 1}}
+# the diagonal SL(2) in Sp(4) acting on h5 = span(e0, ..., e3, z = e4)
+H5_DIAGONAL_SL2 = {
+    "E": _units(5, {(0, 1): 1, (2, 3): 1}),
+    "H": _units(5, {(0, 0): 1, (1, 1): -1, (2, 2): 1, (3, 3): -1}),
+    "F": _units(5, {(1, 0): 1, (3, 2): 1}),
+}
+
+
+@pytest.mark.parametrize("name", ["h3", "h5"])
+def test_sl2_act_matches_substitution_reference(name):
+    # the bracket with X^ in C^{1,1} against the index substitution through
+    # X on g and -X^T on g*, on every monomial
+    ctx = heisenberg_context() if name == "h3" else \
+        ComplexContext.from_brackets(5, H5, sl2=H5_DIAGONAL_SL2)
+    for p in range(ctx.n + 1):
+        for q in range(ctx.n + 1):
+            for m in monomial_basis(ctx.n, p, q):
+                c = BigradedElement({m: 1})
+                for op in ("E", "H", "F"):
+                    assert sl2_act(op, c, ctx) == \
+                        _sl2_act_substitution(op, c, ctx), (op, m)
+
+
+def test_sl2_action_must_act_by_derivations():
+    # E = E_04, H = diag(1, 0, 0, 0, -1), F = E_40 satisfy the sl(2)
+    # relations, but E[e0, e1] = E z = e0 while [E e0, e1] + [e0, E e1] = 0
+    bad = {"E": _units(5, {(0, 4): 1}),
+           "H": _units(5, {(0, 0): 1, (4, 4): -1}),
+           "F": _units(5, {(4, 0): 1})}
+    with pytest.raises(ValueError, match="operator E is not a derivation"):
+        ComplexContext.from_brackets(5, H5, sl2=bad)
+    ComplexContext.from_brackets(5, H5, sl2=H5_DIAGONAL_SL2)
+
+
+def test_sl2_action_must_satisfy_the_relations():
+    # diag(2, -2, 0) is a derivation of h3, but [E, F] = diag(1, -1, 0)
+    bad = dict(heisenberg_context().sl2, H=_units(3, {(0, 0): 2, (1, 1): -2}))
+    with pytest.raises(ValueError, match=re.escape("[E,F] != H")):
+        ComplexContext.from_brackets(3, {(0, 1): {2: 1}}, sl2=bad)
+    # an sl(2) on K^4 satisfies them, but does not act on h3
+    wide = {"E": _units(4, {(0, 1): 1}), "H": _units(4, {(0, 0): 1, (1, 1): -1}),
+            "F": _units(4, {(1, 0): 1})}
+    with pytest.raises(ValueError, match="operator E is not 3 x 3"):
+        ComplexContext.from_brackets(3, {(0, 1): {2: 1}}, sl2=wide)
+
+
 # -- cohomology ---------------------------------------------------------------
 
 def test_heisenberg_cohomology_dims():
@@ -463,6 +517,24 @@ def test_class_coordinates_errors_name_the_bidegree():
         class_coordinates(ctx, r11[:3] + [bad])
 
 
+def test_class_coordinates_in_a_bidegree_without_cohomology():
+    # sl(2) has classes in (0, 0), (0, 3), (3, 0) and (3, 3) only; the
+    # bracket of the (0, 3) and (3, 0) classes is closed in (2, 2), where the
+    # cohomology is zero, so its class is zero
+    ctx = ComplexContext.from_brackets(
+        3, {(0, 1): {0: -2}, (0, 2): {1: 1}, (1, 2): {2: -2}})
+    reps = [z for p in range(4) for q in range(4)
+            for z in cohomology(ctx, p, q)[0]]
+    assert [z.bidegree() for z in reps] == [(0, 0), (0, 3), (3, 0), (3, 3)]
+    coords = class_coordinates(ctx, reps)
+    a, b = reps[1], reps[2]
+    assert bracket(a, b).bidegree() == (2, 2)
+    assert coords(bracket(a, b)) == coords(bracket(b, a)) == (0, 0, 0, 0)
+    assert coords(reps[0] + bracket(a, b)) == (1, 0, 0, 0)
+    with pytest.raises(NotACocycle, match=re.escape("bidegree (2, 2)")):
+        coords(M((0, 1), (0, 1)))  # not closed
+
+
 def test_injected_representatives_are_verified():
     ctx = heisenberg_context()
     reps11 = [
@@ -522,7 +594,7 @@ def test_cohomology_selection_matches_incremental_loop():
     for p in range(4):
         for q in range(4):
             basis = monomial_basis(3, p, q)
-            cocycles, boundary = _spaces(ctx, p, q)
+            cocycles, boundary, _ = _graded(ctx, p, q)
             expected = []
             acc = boundary
             for v in cocycles.basis:
