@@ -13,9 +13,10 @@ pivoting always picks the first nonzero entry in column order, so every
 result is deterministic and canonical.
 
 A system with fixed independent columns and many right-hand sides is
-factored once (``ColumnSolver``): each solve multiplies by a stored inverse
-and then checks C x == z on every row, which certifies the result exactly.
-``coords_modulo`` is the one-shot form of that solver.
+factored once (``ColumnSolver``): columns and right-hand sides are sparse
+rows too, each solve multiplies by a stored inverse and then checks C x == z
+on every row, which certifies the result exactly.  ``coords_modulo`` is the
+one-shot form of that solver on dense vectors.
 """
 
 from __future__ import annotations
@@ -372,21 +373,6 @@ class Subspace:
     def dim(self):
         return len(self.rows)
 
-    def contains(self, v):
-        return not any(self.reduce(v))
-
-    def reduce(self, v):
-        """Residual of v after eliminating the pivot coordinates of the basis."""
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector must have length %d" % self.ambient_dim)
-        v = list(map(canon, v))
-        for row in self.rows:
-            f = v[min(row)]
-            if f:
-                for j, x in row.items():
-                    v[j] -= f * x
-        return tuple([canon(x) for x in v])
-
     def add(self, other):
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
@@ -470,36 +456,39 @@ class ColumnSolver:
     def solve(self, z):
         """The unique x with C x = z, or None when z is outside the span.
 
-        x is read off the rows P alone; checking C x == z on every row is
-        what certifies it.
+        z is sparse like the columns, {row index: scalar}, and zero entries
+        are dropped.  x is read off the rows P alone; checking C x == z on
+        every row is what certifies it.
         """
-        if len(z) != self.n:
-            raise ValueError("right-hand side must have length %d" % self.n)
-        z = [v if type(v) is int else canon(v) for v in z]
+        z = {i: v for i, v in ((i, canon(v)) for i, v in z.items()) if v}
+        if any(not 0 <= i < self.n for i in z):
+            raise ValueError("every row index must be in range(%d)" % self.n)
         x = [0] * len(self._cols)
         for p, e in self._inv:
-            zp = z[p]
+            zp = z.get(p)
             if zp:
                 for j, v in e.items():
                     x[j] += v * zp
-        y = [0] * self.n
+        y = {}
         for col, xj in zip(self._cols, x):
             if xj:
                 for i, c in col:
-                    y[i] += c * xj
-        return tuple([canon(v) for v in x]) if y == z else None
+                    y[i] = y.get(i, 0) + c * xj
+        if {i: v for i, v in y.items() if v} != z:
+            return None
+        return tuple([canon(v) for v in x])
 
 
 def coords_modulo(z, reps, W: Subspace):
-    """Coefficients lam with z - sum(lam_i * reps_i) in W.
+    """Coefficients lam with z - sum(lam_i * reps_i) in W, for dense z and reps.
 
     Returns None when z is outside span(reps) + W; raises
-    AmbiguousCoordinates when the reps are dependent modulo W.  For many z
-    against the same reps and W, build the ColumnSolver over [reps | W] once.
+    AmbiguousCoordinates when the reps are dependent modulo W.  For many z,
+    factor the ColumnSolver over [reps | W.rows] once; it takes sparse z.
     """
     n = W.ambient_dim
     if len(z) != n or any(len(r) != n for r in reps):
         raise ValueError("ambient dimension mismatch")
     cols = [{i: x for i, x in enumerate(r) if x} for r in reps]
-    lam = ColumnSolver(cols + list(W.rows), n).solve(z)
+    lam = ColumnSolver(cols + list(W.rows), n).solve(dict(enumerate(z)))
     return None if lam is None else lam[:len(reps)]

@@ -168,14 +168,14 @@ def _solve_cells(product, dec, registry):
                     raise AmbiguousSystem("dependent candidate maps at (%s, %s)"
                                           % (r1.id, r2.id)) from None
             cands, solver = solvers[key]
-            z = [0] * (d1 * d2 * n)
+            z = {}
             base = 0
             for u in images[r1.id]:
                 for v in images[r2.id]:
                     for j, w in enumerate(product(u, v)):
                         if w:
                             for i, x in inv_cols[j]:
-                                z[base + i] += x * w
+                                z[base + i] = z.get(base + i, 0) + x * w
                     base += n
             x = solver.solve(z)
             if x is None:

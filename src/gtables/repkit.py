@@ -211,8 +211,17 @@ class GModule:
         if validate:
             self.validate()
 
+    def _require_operators(self, names):
+        """ValueError naming the first operator of names that the action
+        lacks, or else the first one it has beyond them."""
+        for op in [*names, *self.action]:
+            if (op in names) != (op in self.action):
+                raise ValueError("%s action %s operator %s" % (
+                    self.group, "lacks the" if op in names else "has the unknown", op))
+
     def validate(self):
         if self.group == "SL2":
+            self._require_operators(("E", "H", "F"))
             E, H, Fm = self.action["E"], self.action["H"], self.action["F"]
             if E @ Fm - Fm @ E != H:
                 raise ValueError("[E,F] != H")
@@ -221,6 +230,7 @@ class GModule:
             if H @ Fm - Fm @ H != Fm.scale(-2):
                 raise ValueError("[H,F] != -2F")
         elif self.group == "S3":
+            self._require_operators(S3_ELEMENTS)
             for a in S3_ELEMENTS:
                 for b in S3_ELEMENTS:
                     if self.action[a] @ self.action[b] != self.action[s3_compose(a, b)]:
@@ -229,8 +239,7 @@ class GModule:
             k = isqrt(len(self.action))
             names = ["E_%d%d" % (p, q) for p in range(1, k + 1)
                      for q in range(1, k + 1)]
-            if set(names) != set(self.action):
-                raise ValueError("a GL(k) action needs the k^2 operators E_pq")
+            self._require_operators(names)
             X = self.action
             zero = Matrix.zeros(self.dim, self.dim)
             # [X_pq, X_rs] = d_qr X_ps - d_sp X_rq is antisymmetric in the
@@ -293,9 +302,6 @@ class Decomposition:
                     raise ValueError("tau not injective for %s" % s.id)
             raise ValueError("summand images are not independent")
 
-    def epsilon(self, rid):
-        return self.by_id[rid].irrep
-
     def basis_matrix(self):
         """Columns are all tau images of model basis vectors, in summand order."""
         if self._basis is None:
@@ -312,17 +318,12 @@ class Decomposition:
             out.extend((s.id, j) for j in range(s.tau.ncols))
         return out
 
-    def to_json(self, include_tau=False):
-        from .exactla import scalar_to_str
+    def to_json(self):
         out = []
         for s in self.summands:
             entry = {"id": s.id, "irrep": s.irrep.to_json()}
             if s.hwv_weight is not None:
                 entry["hwv_weight"] = s.hwv_weight
-            if include_tau:
-                entry["tau"] = [[scalar_to_str(s.tau[i, j])
-                                 for j in range(s.tau.ncols)]
-                                for i in range(s.tau.nrows)]
             out.append(entry)
         return out
 

@@ -36,6 +36,7 @@ from itertools import combinations, product
 from math import comb, lcm
 
 from .exactla import (
+    AmbiguousCoordinates,
     ColumnSolver,
     Matrix,
     Subspace,
@@ -294,7 +295,10 @@ def differential(c: BigradedElement, ctx: ComplexContext) -> BigradedElement:
 
 def sl2_act(op, c: BigradedElement, ctx: ComplexContext) -> BigradedElement:
     """X c = {X^, c}, the derivation extension of the action of X = sl2[op]
-    on g (duals carry minus the transpose)."""
+    on g (duals carry minus the transpose).  ValueError names an operator
+    that the context's sl2 lacks."""
+    if op not in ctx._sl2_words:
+        raise ValueError("the context has no sl2 operator %r" % (op,))
     return _bracket_words(ctx._sl2_words[op], c)
 
 
@@ -309,8 +313,14 @@ def monomial_basis(n, p, q):
 def to_coords(elt: BigradedElement, basis):
     """Coordinates of elt in basis, a monomial_basis; ValueError names a term
     outside it."""
-    index = {m: i for i, m in enumerate(basis)}
-    v = [0] * len(basis)
+    sparse = _sparse_coords(elt, basis, {m: i for i, m in enumerate(basis)})
+    return tuple([sparse.get(i, 0) for i in range(len(basis))])
+
+
+def _sparse_coords(elt: BigradedElement, basis, index):
+    """{i: c} over the terms c basis[i] of elt, for index = {basis[i]: i};
+    ValueError names a term outside the basis."""
+    out = {}
     for key, c in elt.terms.items():
         i = index.get(key)
         if i is None:
@@ -318,8 +328,8 @@ def to_coords(elt: BigradedElement, basis):
                      else "an empty bidegree")
             raise ValueError("monomial %r is outside the basis of %s"
                              % (key, where))
-        v[i] = c
-    return tuple(v)
+        out[i] = c
+    return out
 
 
 def from_coords(v, basis):
@@ -468,71 +478,67 @@ def _independent_modulo(W, vecs):
     return [c - len(W) for c in pivots[len(W):]]
 
 
-def cohomology(ctx: ComplexContext, p, q, reps=None):
+def cohomology(ctx: ComplexContext, p, q):
     """Representatives and boundary subspace for H^p(g, Lambda^q g).
 
-    Default representatives are the echelon-canonical cocycles that are
-    independent modulo the boundaries and the cocycles before them; ``reps``
-    may inject explicit ones (verified to be cocycles, independent modulo
-    boundaries, and of the right count).
+    The representatives are the echelon-canonical cocycles that are
+    independent modulo the boundaries and the cocycles before them.  Other
+    representatives are certified by ``class_coordinates``.
     """
     basis = monomial_basis(ctx.n, p, q)
     cocycles, boundary, chosen = _graded(ctx, p, q)
-    betti = cocycles.dim - boundary.dim
-    if reps is not None:
-        if len(reps) != betti:
-            raise ValueError("expected %d representatives, got %d"
-                             % (betti, len(reps)))
-        vecs = []
-        for z in reps:
-            v = to_coords(z, basis)
-            if not cocycles.contains(v):
-                raise NotACocycle("injected representative is not closed")
-            vecs.append({i: x for i, x in enumerate(v) if x})
-        if len(_independent_modulo(boundary.rows, vecs)) != len(vecs):
-            raise ValueError("representatives dependent modulo boundaries")
-        return list(reps), boundary
-    out = [BigradedElement({basis[i]: c for i, c in r.items()}) for r in chosen]
-    assert len(out) == betti
-    return out, boundary
+    assert len(chosen) == cocycles.dim - boundary.dim
+    return ([BigradedElement({basis[i]: c for i, c in r.items()})
+             for r in chosen], boundary)
 
 
 def class_coordinates(ctx: ComplexContext, reps):
     """The map z -> coefficients (a tuple) of the class of z over ``reps``.
 
-    ``reps`` are homogeneous cocycles of any bidegrees; ``cohomology``
-    certifies those of each bidegree as a basis of its cohomology, and one
-    ColumnSolver per bidegree is factored over [reps | boundary rows].  As the
-    reps are complete, a component of z that does not solve is not closed
-    (NotACocycle).  A bidegree without reps is factored over its boundary
-    rows alone on first use, where a closed component has the zero class if
-    its cohomology is zero; elsewhere it raises ValueError.
+    ``reps`` are homogeneous cochains of any bidegrees.  The reps of each
+    bidegree are counted against its Betti number (ValueError) and checked
+    closed (NotACocycle); then one ColumnSolver is factored over [reps |
+    boundary rows], which fails when they are dependent modulo boundaries
+    (ValueError), so it certifies them as a basis of the cohomology.  A
+    component of z that does not solve is then not closed (NotACocycle).  A
+    bidegree without reps is factored over its boundary rows alone on first
+    use, where a closed component has the zero class if its cohomology is
+    zero; elsewhere it raises ValueError.
     """
     positions = {}
     for t, z in enumerate(reps):
         positions.setdefault(z.bidegree(), []).append(t)
     solvers = {}
 
-    def factor(p, q, where, chosen, boundary):
+    def factor(p, q, where):
+        chosen, boundary = cohomology(ctx, p, q)
+        if len(where) != len(chosen):
+            raise ValueError("expected %d representatives, got %d"
+                             % (len(chosen), len(where)))
+        if not all(differential(reps[t], ctx).is_zero() for t in where):
+            raise NotACocycle("injected representative is not closed")
         basis = monomial_basis(ctx.n, p, q)
-        cols = [{i: x for i, x in enumerate(to_coords(z, basis)) if x}
-                for z in chosen]
-        solvers[(p, q)] = (basis, where,
-                           ColumnSolver(cols + list(boundary.rows), len(basis)))
+        index = {m: i for i, m in enumerate(basis)}
+        cols = [_sparse_coords(reps[t], basis, index) for t in where]
+        try:
+            solver = ColumnSolver(cols + list(boundary.rows), len(basis))
+        except AmbiguousCoordinates:
+            raise ValueError("representatives dependent modulo boundaries"
+                             ) from None
+        solvers[(p, q)] = basis, index, where, solver
 
     for (p, q), where in positions.items():
-        factor(p, q, where, *cohomology(ctx, p, q, reps=[reps[t] for t in where]))
+        factor(p, q, where)
 
     def coords(z):
         out = [0] * len(reps)
         for pq, part in z.parts().items():
             if pq not in solvers:
-                chosen, boundary = cohomology(ctx, *pq)
-                if chosen:
+                if cohomology(ctx, *pq)[0]:
                     raise ValueError("no representatives in bidegree %s" % (pq,))
-                factor(*pq, [], [], boundary)
-            basis, where, solver = solvers[pq]
-            x = solver.solve(to_coords(part, basis))
+                factor(*pq, [])
+            basis, index, where, solver = solvers[pq]
+            x = solver.solve(_sparse_coords(part, basis, index))
             if x is None:
                 raise NotACocycle("component of bidegree %s is not closed"
                                   % (pq,))

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -294,7 +295,7 @@ def test_decompose_sl2_heisenberg():
     M = heisenberg_module()
     dec = decompose_sl2(M, reg, hwvs=[("h_0", 0, (0, 0, 1)), ("h_1", 1, (1, 0, 0))])
     assert [s.id for s in dec.summands] == ["h_0", "h_1"]
-    assert dec.epsilon("h_0") == IrrepId("SL2", 0)
+    assert dec.by_id["h_0"].irrep == IrrepId("SL2", 0)
     assert dec.by_id["h_0"].tau.col(0) == (F(0), F(0), F(1))
     # tau_1(1,0) = x_1 and tau_1(0,1) = F.x_1 = x_-1
     assert dec.by_id["h_1"].tau.col(0) == (F(1), F(0), F(0))
@@ -487,6 +488,19 @@ def test_glk_module_checked_against_relations():
     GModule("GLk", 8, adj.action)
 
 
+def test_sl2_and_s3_modules_checked_for_their_operator_names():
+    sl2 = heisenberg_module().action
+    eh = {op: sl2[op] for op in ("E", "H")}
+    with pytest.raises(ValueError, match="SL2 action lacks the operator F"):
+        GModule("SL2", 3, eh)
+    with pytest.raises(ValueError, match="SL2 action has the unknown operator X"):
+        GModule("SL2", 3, dict(sl2, X=sl2["H"]))
+    s3 = {g: Matrix.identity(1) for g in S3_ELEMENTS}
+    del s3["(123)"]
+    with pytest.raises(ValueError, match=re.escape("lacks the operator (123)")):
+        GModule("S3", 1, s3)
+
+
 def test_decomposition_checks_every_operator():
     # GL(3) on K by the determinant: E_pp acts by 1, E_pq (p != q) by 0.
     # Every root operator agrees with the trivial model; E_11 does not.
@@ -525,11 +539,3 @@ def test_in_tree_modules_validated_on_load(monkeypatch):
         assert any(m is module for m in validated), module
 
 
-def test_decomposition_tau_serialization():
-    reg = builtin_labeling("SL2")
-    M = heisenberg_module()
-    dec = decompose_sl2(M, reg, hwvs=[("h_0", 0, (0, 0, 1)), ("h_1", 1, (1, 0, 0))])
-    js = dec.to_json(include_tau=True)
-    assert js[0]["tau"] == [["0"], ["0"], ["1"]]
-    assert js[1]["tau"] == [["1", "0"], ["0", "1"], ["0", "0"]]
-    assert js[1]["irrep"] == {"group": "SL2", "label": 1}

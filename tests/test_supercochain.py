@@ -4,8 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+import gtables.exactla as exactla
 import gtables.supercochain as sc
 from gtables.exactla import Matrix, Subspace, coords_modulo
+from gtables.gallery.heisenberg import (
+    EVEN_BIDEGREES,
+    HW_REPRESENTATIVES,
+    _orbit,
+)
 from gtables.verify import (
     _bracket_peeling,
     _coords_modulo_rref,
@@ -360,6 +366,18 @@ def test_sl2_action_must_satisfy_the_relations():
         ComplexContext.from_brackets(3, {(0, 1): {2: 1}}, sl2=wide)
 
 
+def test_sl2_action_must_name_its_operators():
+    full = heisenberg_context().sl2
+    with pytest.raises(ValueError, match="SL2 action lacks the operator F"):
+        ComplexContext.from_brackets(
+            3, {(0, 1): {2: 1}}, sl2={"E": full["E"], "H": full["H"]})
+    bare = ComplexContext.from_brackets(3, {(0, 1): {2: 1}})
+    with pytest.raises(ValueError, match="no sl2 operator 'E'"):
+        sl2_act("E", BigradedElement.one(), bare)
+    with pytest.raises(ValueError, match="no sl2 operator 'X'"):
+        sl2_act("X", BigradedElement.one(), heisenberg_context())
+
+
 # -- cohomology ---------------------------------------------------------------
 
 def test_heisenberg_cohomology_dims():
@@ -389,7 +407,7 @@ def test_terms_outside_the_basis_are_named():
     assert differential(e2, ctx).is_zero()
     msg = "%r is outside the basis of bidegree (1, 0)"
     with pytest.raises(ValueError, match=re.escape(msg % (((), (2,)),))):
-        cohomology(ctx, 1, 0, reps=[e2, e2])
+        to_coords(e2, monomial_basis(3, 1, 0))
     reps, boundary = cohomology(ctx, 1, 0)
     xi01 = M((0, 1), ())  # closed, of bidegree (2, 0)
     with pytest.raises(ValueError,
@@ -498,6 +516,31 @@ def test_class_coordinates_factor_one_solver_per_bidegree(monkeypatch):
     assert len(built) == len(bidegrees)
 
 
+def test_class_coordinates_certify_with_one_elimination_per_bidegree(
+        monkeypatch):
+    # with every cohomology computed, certifying the 18 classes of the
+    # Heisenberg pipeline factors one solver per even bidegree and nothing
+    # else: no second check of the representatives
+    ctx = heisenberg_context()
+    for p in range(4):
+        for q in range(4):
+            cohomology(ctx, p, q)
+    classes = [elt for _, _, w, rep in HW_REPRESENTATIVES
+               for elt in _orbit(ctx, rep, w)]
+    assert len(classes) == 18
+    calls = []
+    real = exactla.rref
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return real(rows, ncols)
+
+    monkeypatch.setattr(exactla, "rref", counted)
+    monkeypatch.setattr(sc, "rref", counted)
+    class_coordinates(ctx, classes)
+    assert len(calls) == len(EVEN_BIDEGREES) == 8
+
+
 def test_class_coordinates_errors_name_the_bidegree():
     ctx = heisenberg_context()
     r00 = cohomology(ctx, 0, 0)[0]
@@ -510,7 +553,7 @@ def test_class_coordinates_errors_name_the_bidegree():
         coords(good + bad)
     with pytest.raises(ValueError, match=re.escape("bidegree (2, 2)")):
         coords(good + M((0, 1), (0, 1)))
-    # the representatives of each bidegree are certified by cohomology
+    # the representatives of each bidegree are certified on construction
     with pytest.raises(ValueError, match="expected 4 representatives"):
         class_coordinates(ctx, r11[:3])
     with pytest.raises(NotACocycle):
@@ -541,8 +584,8 @@ def test_injected_representatives_are_verified():
         M((1,), (1,)) + M((0,), (0,)) + M((2,), (2,), 2),
         M((1,), (0,)),
     ]
-    with pytest.raises(ValueError):
-        cohomology(ctx, 1, 1, reps=reps11)  # wrong count: betti is 4
+    with pytest.raises(ValueError, match="expected 4 representatives, got 2"):
+        class_coordinates(ctx, reps11)  # wrong count: betti is 4
 
 
 def test_injected_representative_not_closed():
@@ -552,7 +595,7 @@ def test_injected_representative_not_closed():
     assert not differential(bad, ctx).is_zero()
     with pytest.raises(NotACocycle, match="injected representative is not "
                                           "closed"):
-        cohomology(ctx, 1, 1, reps=[bad] + reps[1:])
+        class_coordinates(ctx, [bad] + reps[1:])
 
 
 def test_differential_reuses_the_words_of_mu(monkeypatch):
@@ -584,7 +627,7 @@ def test_injected_representatives_dependent_modulo_boundaries():
     # plus a boundary
     dependent = reps[:-1] + [reps[0].scale(2) + b]
     with pytest.raises(ValueError, match="dependent modulo boundaries"):
-        cohomology(ctx, 1, 1, reps=dependent)
+        class_coordinates(ctx, dependent)
 
 
 def test_cohomology_selection_matches_incremental_loop():
@@ -598,9 +641,10 @@ def test_cohomology_selection_matches_incremental_loop():
             expected = []
             acc = boundary
             for v in cocycles.basis:
-                if not acc.contains(v):
+                grown = Subspace(len(basis), acc.basis + (v,))
+                if grown.dim > acc.dim:
                     expected.append(v)
-                    acc = Subspace(len(basis), list(acc.basis) + [v])
+                    acc = grown
             reps, _ = cohomology(ctx, p, q)
             assert [to_coords(z, basis) for z in reps] == expected, (p, q)
 
