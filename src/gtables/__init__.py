@@ -35,7 +35,6 @@ from .repkit import (
     IntertwinerRegistry,
     IrrepId,
     ModelIrrep,
-    NonDiagonalizableH,
     builtin_labeling,
     decompose_s3,
     decompose_sl2,

@@ -22,7 +22,6 @@ from .gtable import (
 from .repkit import (
     GModule,
     IrrepId,
-    S3_ELEMENTS,
     builtin_labeling,
     decompose_s3,
     decompose_sl2,
@@ -33,7 +32,7 @@ algebra spec file (JSON):
 {
   "group": "SL2" | "S3",
   "dim": <int>,
-  "basis_names": [<str>, ...],                # optional
+  "basis_names": [<str>, ...],                # optional; checked, used in no output
   "action": {"E": [[...]], "H": [[...]], "F": [[...]]}   # SL2
             or {"()": ..., "(12)": ..., ...}             # S3 (all six)
   "product": [{"i": r, "j": c, "k": t, "c": "num/den"}, ...],
@@ -155,13 +154,6 @@ def _fixture_args(p, fixture, size=None):
     p.set_defaults(func=_cmd_fixture, fixture=fixture, size=size)
 
 
-# operators a spec's "action" must name, per group
-_SPEC_OPERATORS = {
-    "SL2": ({"E", "H", "F"}, "SL2 spec needs exactly the operators E, H, F"),
-    "S3": (set(S3_ELEMENTS), "S3 spec needs all six group elements"),
-}
-
-
 def _expect(value, kind, field):
     """value, if it is a JSON value of the given kind; else a ValueError naming field."""
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
@@ -252,23 +244,19 @@ def load_spec(path):
     with open(path) as fh:
         obj = _expect(json.load(fh), dict, "spec")
     group = _get(obj, "group", str, "group")
-    if group not in _SPEC_OPERATORS:
+    if group not in ("SL2", "S3"):
         raise ValueError("unknown group %r" % group)
     registry = builtin_labeling(group)
     dim = _get(obj, "dim", int, "dim")
     if dim < 1:
         raise ValueError("dim: expected a positive integer, got %d" % dim)
-    ops, missing = _SPEC_OPERATORS[group]
-    action = _get(obj, "action", dict, "action")
-    if set(action) != ops:
-        raise ValueError(missing)
     action = {op: _parse_matrix(rows, dim, "action.%s" % op)
-              for op, rows in action.items()}
+              for op, rows in _get(obj, "action", dict, "action").items()}
     names = obj.get("basis_names")
     if names is not None and (len(_expect(names, list, "basis_names")) != dim
                               or not all(isinstance(x, str) for x in names)):
         raise ValueError("basis_names: expected %d strings" % dim)
-    module = GModule(group, dim, action, basis_names=names)
+    module = GModule(group, dim, action)
     product = _structure_constants(obj, "product", dim)
     delta = None
     if "comultiplication" in obj:

@@ -72,7 +72,7 @@ def compare(label, got: GTable, want: GTable):
 class FixtureReport:
     label: str
     tables: dict  # name -> GTable
-    products: dict = None  # name -> product_from_structure evaluator
+    products: dict  # name -> product_from_structure evaluator
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ def _mk_module_and_product(k):
     dec = block_decomposition(reg, [("A_0", IrrepId(gk, "trivial")),
                                     ("A_1", IrrepId(gk, "adjoint"))])
     ident = {(i, i): 1 for i in range(k)}
-    full = [ident] + glk_basis(k)[0]  # (identity component, sl(k) part)
+    full = [ident] + glk_basis(k)  # (identity component, sl(k) part)
 
     def to_coords(A):
         scalar = div(smat_trace(A, k), k)
@@ -226,9 +226,9 @@ def sl3_fixture() -> FixtureReport:
     for the third-column copy, -E32 for the third-row copy.
     """
     reg = builtin_labeling("SL2")
-    basis, names = glk_basis(3)
+    basis = glk_basis(3)
     action = {op: glk_ad(P, 3, basis) for op, P in CORNER_SL2.items()}
-    module = GModule("SL2", 8, action, basis_names=names)
+    module = GModule("SL2", 8, action)
     coords = lambda A: glk_coords(A, 3)
     lie = product_from_structure(
         8, structure_constants(basis, smat_comm, coords))

@@ -71,7 +71,7 @@ def gln_bracket(u, v):
 
 
 def _basis_elements(n):
-    sl, _ = glk_basis(n)
+    sl = glk_basis(n)
     out = [gln_element(n, a0=1)]
     out += [gln_element(n, A0=B) for B in sl]
     out += [gln_element(n, A1=B) for B in sl]
@@ -153,7 +153,7 @@ def gln_sl2_tables(n=3):
     if n != 3:
         raise ValueError("the corner-SL(2) decomposition is built for n = 3")
     reg = builtin_labeling("SL2")
-    sl, _ = glk_basis(n)
+    sl = glk_basis(n)
     zero = Matrix.zeros(1, 1)
     action = {}
     for op, P in CORNER_SL2.items():

@@ -131,12 +131,12 @@ class HeisenbergReport:
     verification: list  # (summand id, property name, bool)
     cup_table: GTable
     bracket_table: GTable
-    module: GModule = field(repr=False, default=None)
-    decomposition: Decomposition = field(repr=False, default=None)
-    basis_classes: list = field(repr=False, default_factory=list)
+    module: GModule = field(repr=False)
+    decomposition: Decomposition = field(repr=False)
+    basis_classes: list = field(repr=False)
     # structure constants {(i, j): {k: c}} on the 18 classes
-    cup_structure: dict = field(repr=False, default_factory=dict)
-    bracket_structure: dict = field(repr=False, default_factory=dict)
+    cup_structure: dict = field(repr=False)
+    bracket_structure: dict = field(repr=False)
 
     def verified(self):
         return all(ok for (_, _, ok) in self.verification)

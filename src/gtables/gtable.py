@@ -420,14 +420,6 @@ class GMatrix:
     def __getitem__(self, xr):
         return self.entries.get(xr, 0)
 
-    def scale_summand(self, rid, a):
-        """New map with the column of source summand rid scaled by a."""
-        out = dict(self.entries)
-        for (x, r) in list(out):
-            if r == rid:
-                out[(x, r)] = out[(x, r)] * a
-        return GMatrix(self.source, self.target, out)
-
     def as_matrix(self):
         """The assembled linear map on the expanded bases."""
         src_basis = self.source.basis_index()

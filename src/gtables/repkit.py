@@ -27,10 +27,6 @@ from math import isqrt
 from .exactla import Matrix, Subspace, canon, div, kernel
 
 
-class NonDiagonalizableH(Exception):
-    """H is not diagonalizable over Q with integer eigenvalues."""
-
-
 @dataclass(frozen=True)
 class IrrepId:
     group: str  # "SL2", "S3", or "GL<k>"
@@ -46,12 +42,11 @@ class IrrepId:
 class ModelIrrep:
     """A model irreducible: coordinate space with explicit action operators."""
 
-    def __init__(self, id: IrrepId, dim, action, hw_vector=None, basis_names=None):
+    def __init__(self, id: IrrepId, dim, action, hw_vector=None):
         self.id = id
         self.dim = dim
         self.action = action  # {op name: Matrix}
         self.hw_vector = tuple(hw_vector) if hw_vector is not None else None
-        self.basis_names = basis_names
 
     def __repr__(self):
         return "ModelIrrep(%s, dim %d)" % (self.id, self.dim)
@@ -203,11 +198,10 @@ class GModule:
     element for S3, ad(E_pq) operators named "E_pq" for GL(k).
     """
 
-    def __init__(self, group, dim, action, basis_names=None, validate=True):
+    def __init__(self, group, dim, action, validate=True):
         self.group = group
         self.dim = dim
         self.action = action
-        self.basis_names = basis_names or ["e%d" % i for i in range(dim)]
         if validate:
             self.validate()
 
@@ -336,20 +330,20 @@ def _sl2_models():
     v0 = ModelIrrep(
         IrrepId(sl2, 0), 1,
         {"E": Matrix.zeros(1, 1), "H": Matrix.zeros(1, 1), "F": Matrix.zeros(1, 1)},
-        hw_vector=(1,), basis_names=["1"])
+        hw_vector=(1,))
     v1 = ModelIrrep(
         IrrepId(sl2, 1), 2,
         {"E": Matrix.from_rows([[0, 1], [0, 0]]),
          "H": Matrix.from_rows([[1, 0], [0, -1]]),
          "F": Matrix.from_rows([[0, 0], [1, 0]])},
-        hw_vector=(1, 0), basis_names=["e1", "e2"])
+        hw_vector=(1, 0))
     # adjoint coordinates over the basis (E, H, F); hw vector is E itself
     v2 = ModelIrrep(
         IrrepId(sl2, 2), 3,
         {"E": Matrix.from_rows([[0, -2, 0], [0, 0, 1], [0, 0, 0]]),
          "H": Matrix.from_rows([[2, 0, 0], [0, 0, 0], [0, 0, -2]]),
          "F": Matrix.from_rows([[0, 0, 0], [-1, 0, 0], [0, 2, 0]])},
-        hw_vector=(1, 0, 0), basis_names=["E", "H", "F"])
+        hw_vector=(1, 0, 0))
     return {m.id: m for m in (v0, v1, v2)}
 
 
@@ -410,17 +404,9 @@ def _sl2_labeling():
 def glk_basis(k):
     """Basis of sl(k) as sparse {(i,j): c} dicts: off-diagonal units E_ij in
     row-major order, then D_i = E_ii - E_{i+1,i+1}."""
-    basis = []
-    names = []
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                basis.append({(i, j): 1})
-                names.append("E%d%d" % (i + 1, j + 1))
-    for i in range(k - 1):
-        basis.append({(i, i): 1, (i + 1, i + 1): -1})
-        names.append("D%d" % (i + 1))
-    return basis, names
+    basis = [{(i, j): 1} for i in range(k) for j in range(k) if i != j]
+    basis.extend({(i, i): 1, (i + 1, i + 1): -1} for i in range(k - 1))
+    return basis
 
 
 def glk_coords(A, k):
@@ -502,7 +488,7 @@ def smat_sym(A, B, k):
 
 def glk_ad(P, k, basis):
     """Matrix of X -> [P, X] on sl(k) in glk_basis coordinates, for any
-    sparse k x k matrix P; ``basis`` is glk_basis(k)[0]."""
+    sparse k x k matrix P; ``basis`` is glk_basis(k)."""
     return Matrix.from_cols([glk_coords(smat_comm(P, B), k) for B in basis],
                             nrows=len(basis))
 
@@ -511,13 +497,12 @@ def _glk_labeling(k):
     gk = "GL%d" % k
     i0 = IrrepId(gk, "trivial")
     iad = IrrepId(gk, "adjoint")
-    basis, names = glk_basis(k)
+    basis = glk_basis(k)
     dim = k * k - 1
     action = {"E_%d%d" % (p + 1, q + 1): glk_ad({(p, q): 1}, k, basis)
               for p in range(k) for q in range(k)}
-    triv = ModelIrrep(i0, 1, {op: Matrix.zeros(1, 1) for op in action},
-                      basis_names=["1"])
-    adj = ModelIrrep(iad, dim, action, basis_names=names)
+    triv = ModelIrrep(i0, 1, {op: Matrix.zeros(1, 1) for op in action})
+    adj = ModelIrrep(iad, dim, action)
     models = {i0: triv, iad: adj}
 
     def bilinear(fun, dout):
@@ -542,11 +527,10 @@ def _s3_labeling():
     isg = IrrepId("S3", "sg")
     istd = IrrepId("S3", "std")
     one = lambda x: {g: Matrix.from_rows([[x(g)]]) for g in S3_ELEMENTS}
-    mtr = ModelIrrep(itr, 1, one(lambda g: 1), basis_names=["1"])
-    msg = ModelIrrep(isg, 1, one(lambda g: s3_sign(g)), basis_names=["1"])
+    mtr = ModelIrrep(itr, 1, one(lambda g: 1))
+    msg = ModelIrrep(isg, 1, one(lambda g: s3_sign(g)))
     mstd = ModelIrrep(istd, 2,
-                      {g: Matrix.from_rows(_STD_MATRICES[g]) for g in S3_ELEMENTS},
-                      basis_names=["e1", "e2"])
+                      {g: Matrix.from_rows(_STD_MATRICES[g]) for g in S3_ELEMENTS})
     models = {itr: mtr, isg: msg, istd: mstd}
     maps = {}
     _unit_maps(models, maps)
@@ -579,8 +563,7 @@ def sl2_poly_labeling(max_degree) -> IntertwinerRegistry:
              for i in range(dim)])
         models[IrrepId("SL2", r)] = ModelIrrep(
             IrrepId("SL2", r), dim, {"E": E, "H": H, "F": Fm},
-            hw_vector=_unit(dim, 0),
-            basis_names=["x^%dy^%d" % (r - j, j) for j in range(dim)])
+            hw_vector=_unit(dim, 0))
     maps = {}
     for r1 in range(max_degree + 1):
         for r2 in range(max_degree + 1 - r1):
@@ -598,37 +581,30 @@ def sl2_poly_labeling(max_degree) -> IntertwinerRegistry:
 # decompositions
 
 def highest_weight_vectors(M: GModule):
-    """Per weight n >= 0, a basis of ker(E) within the H-eigenspace of n.
+    """Per weight n >= 0, the reduced echelon basis of ker(E) within the
+    H-eigenspace of n.
 
-    Returns [(n, [vectors])] with n descending; raises NonDiagonalizableH when
-    the integer eigenspaces of H do not fill the module.
+    Returns [(n, [vectors])] with n descending.  M has passed the sl(2)
+    relation check, so it is a direct sum of irreducibles (Weyl, in
+    characteristic 0) and ker(E) is spanned by their highest weight vectors.
+    Those have integer weights n >= 0, so no negative weight is scanned.  H
+    maps ker(E) into itself ([H, E] = 2E): with the basis of ker(E) as the
+    columns of B, the vectors of weight n are B c for c in ker((H - n) B).
     """
     H = M.action["H"]
-    E = M.action["E"]
     # an eigenvalue n of H has |n| <= max_i sum_j |H_ij| (Gershgorin)
     radius = [0] * M.dim
     for i, _, x in H.entries():
         radius[i] += abs(x)
     bound = min(M.dim, int(max(radius, default=0)))
-    spaces = {}
-    found = 0
-    for n in range(-bound, bound + 1):
-        shifted = H - Matrix.identity(M.dim).scale(n)
-        K = kernel(shifted)
-        if K.dim:
-            spaces[n] = K
-            found += K.dim
-    if found != M.dim:
-        raise NonDiagonalizableH(
-            "H eigenspaces for integer weights span %d of %d dimensions"
-            % (found, M.dim))
+    K = kernel(M.action["E"])
+    B = Matrix(K.dim, M.dim, K.rows).transpose()
+    HB = H @ B
     out = []
-    for n in sorted((w for w in spaces if w >= 0), reverse=True):
-        B = Matrix(spaces[n].dim, M.dim, spaces[n].rows).transpose()
-        EK = kernel(E @ B)
-        if EK.dim:
-            vecs = [B.matvec(c) for c in EK.basis]
-            out.append((n, vecs))
+    for n in range(bound, -1, -1):
+        C = kernel(HB - B.scale(n))
+        if C.dim:
+            out.append((n, [B.matvec(c) for c in C.basis]))
     return out
 
 
@@ -747,4 +723,4 @@ def group_algebra_s3_conjugation() -> GModule:
             target = s3_compose(s3_compose(g, h), ginv)
             cols.append(_unit(6, idx[target]))
         action[g] = Matrix.from_cols(cols, nrows=6)
-    return GModule("S3", 6, action, basis_names=list(S3_ELEMENTS))
+    return GModule("S3", 6, action)

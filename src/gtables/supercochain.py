@@ -41,11 +41,9 @@ from .exactla import (
     Matrix,
     Subspace,
     canon,
-    join_terms,
     kernel,
     rref,
     scalar_to_str,
-    signed_term,
 )
 from .repkit import GModule
 
@@ -224,7 +222,7 @@ def _bracket_words(words_a, b):
 
 
 class ComplexContext:
-    """Dimension, basis names, Lie structure mu, optional sl2 action on g.
+    """Dimension, Lie structure mu, optional sl2 action on g.
 
     mu lives in bidegree (2,1); {mu,mu} = 0 is verified on construction, which
     is exactly the Jacobi identity for the encoded bracket (and gives d^2 = 0).
@@ -232,11 +230,9 @@ class ComplexContext:
     relations and act on g by derivations, {mu, X^} = 0.
     """
 
-    def __init__(self, n, mu, gnames=None, gstar_names=None, sl2=None):
+    def __init__(self, n, mu, sl2=None):
         self.n = n
         self.mu = mu
-        self.gnames = gnames or ["e%d" % i for i in range(n)]
-        self.gstar_names = gstar_names or ["x%d" % i for i in range(n)]
         self.sl2 = sl2
         self._cache = {}
         if any(len(I) != 2 or len(J) != 1 for (I, J) in mu.terms):
@@ -258,7 +254,7 @@ class ComplexContext:
                 self._sl2_words[op] = _words(hat)
 
     @staticmethod
-    def from_brackets(n, brackets, gnames=None, gstar_names=None, sl2=None):
+    def from_brackets(n, brackets, sl2=None):
         """mu = sum_{i<j} xi_i xi_j (x) [e_i, e_j] from {(i,j): {k: c}}."""
         terms = {}
         for (i, j), img in brackets.items():
@@ -267,7 +263,7 @@ class ComplexContext:
             for k, c in img.items():
                 key = ((i, j), (k,))
                 terms[key] = terms.get(key, 0) + canon(c)
-        return ComplexContext(n, BigradedElement(terms), gnames, gstar_names, sl2)
+        return ComplexContext(n, BigradedElement(terms), sl2)
 
 
 def heisenberg_context() -> ComplexContext:
@@ -281,11 +277,7 @@ def heisenberg_context() -> ComplexContext:
         "H": Matrix.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, 0]]),
         "F": Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 0, 0]]),
     }
-    return ComplexContext.from_brackets(
-        3, {(0, 1): {2: 1}},
-        gnames=["x_1", "x_-1", "h_0"],
-        gstar_names=["x^-1", "x^1", "h^0"],
-        sl2=sl2)
+    return ComplexContext.from_brackets(3, {(0, 1): {2: 1}}, sl2=sl2)
 
 
 def differential(c: BigradedElement, ctx: ComplexContext) -> BigradedElement:
@@ -548,24 +540,3 @@ def class_coordinates(ctx: ComplexContext, reps):
         return tuple(out)
 
     return coords
-
-
-# ---------------------------------------------------------------------------
-# rendering
-
-def element_to_text(elt: BigradedElement, ctx: ComplexContext) -> str:
-    if elt.is_zero():
-        return "0"
-    bits = []
-    for (I, J) in sorted(elt.terms):
-        c = elt.terms[(I, J)]
-        left = "".join(ctx.gstar_names[i] for i in I) or "1"
-        right = "".join(ctx.gnames[j] for j in J) or "1"
-        bits.append(signed_term(c, "%s⊗%s" % (left, right)))
-    return join_terms(bits)
-
-
-def element_to_json(elt: BigradedElement):
-    return {"terms": [{"I": list(I), "J": list(J),
-                       "c": scalar_to_str(elt.terms[(I, J)])}
-                      for (I, J) in sorted(elt.terms)]}

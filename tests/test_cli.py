@@ -264,3 +264,22 @@ def test_extract_malformed_spec_exits_2(tmp_path, spec, field):
     assert proc.returncode == 2
     assert field in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("action,message", [
+    ({op: m for op, m in H3_SPEC["action"].items() if op != "F"},
+     "SL2 action lacks the operator F"),
+    (dict(H3_SPEC["action"], X=[[0, 0, 0], [0, 0, 0], [0, 0, 0]]),
+     "SL2 action has the unknown operator X"),
+], ids=["missing-F", "extra-X"])
+def test_extract_spec_operator_names_checked_by_the_module(tmp_path, action,
+                                                           message):
+    path = tmp_path / "ops.json"
+    path.write_text(json.dumps(h3_spec(action=action)))
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gtables", "extract", "--spec", str(path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("bad spec file: %s\n" % message)
+    assert "Traceback" not in proc.stderr

@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from gtables.exactla import Matrix, solve
+from gtables.exactla import Matrix, kernel, solve
 from gtables.repkit import (
     Decomposition,
     GModule,
     IrrepId,
-    NonDiagonalizableH,
     S3_ELEMENTS,
     Intertwiner,
     block_decomposition,
@@ -38,7 +37,7 @@ def heisenberg_module():
         "E": Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
         "H": Matrix.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, 0]]),
         "F": Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 0, 0]]),
-    }, basis_names=["x1", "x-1", "h0"])
+    })
 
 
 def test_s3_composition_table():
@@ -109,7 +108,7 @@ def test_glk_symmetric_map_vanishes_at_k2_and_k3_value():
 
 def test_glk_sym_map_against_matrix_formula():
     k = 3
-    sparse_basis, _ = glk_basis(k)
+    sparse_basis = glk_basis(k)
     dense = [[[B.get((i, j), F(0)) for j in range(k)] for i in range(k)]
              for B in sparse_basis]
     reg = builtin_labeling("GLk", k=k)
@@ -152,7 +151,7 @@ def test_glk_kit_against_dense_matrices(k):
     # independent oracle: dense list-of-lists arithmetic, and coordinates
     # solved against the dense basis matrices rather than read off
     rng = random.Random(40 + k)
-    basis, _ = glk_basis(k)
+    basis = glk_basis(k)
     dbasis = [_dense(b, k) for b in basis]
     flat = lambda M: [x for row in M for x in row]
     B = Matrix.from_cols([flat(D) for D in dbasis], nrows=k * k)
@@ -201,7 +200,7 @@ def glk_matrix(coords, basis):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_glk_matrix_and_glk_coords_round_trip(k):
     rng = random.Random(50 + k)
-    basis, _ = glk_basis(k)
+    basis = glk_basis(k)
     for _ in range(20):
         c = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in basis]
         A = glk_matrix(c, basis)
@@ -260,20 +259,69 @@ def test_highest_weight_vectors_model_irrep():
         assert hw[0][1][0] == m.hw_vector
 
 
-def test_non_diagonalizable_h_rejected():
-    M = GModule("SL2", 2, {
-        "E": Matrix.zeros(2, 2),
-        "H": Matrix.from_rows([[0, 1], [0, 0]]),
-        "F": Matrix.zeros(2, 2),
-    }, validate=False)
-    with pytest.raises(NonDiagonalizableH):
-        highest_weight_vectors(M)
+def eigenspace_scan_reference(M):
+    """Highest weight vectors the long way: the kernel of every integer shift
+    H - n in [-dim, dim], checked to fill the module, then per eigenspace of
+    weight n >= 0 the vectors B c with c in ker(E B), where the columns of B
+    are the eigenspace's basis."""
+    H, E = M.action["H"], M.action["E"]
+    spaces = {}
+    for n in range(-M.dim, M.dim + 1):
+        K = kernel(H - Matrix.identity(M.dim).scale(n))
+        if K.dim:
+            spaces[n] = K
+    assert sum(K.dim for K in spaces.values()) == M.dim
+    out = []
+    for n in sorted((w for w in spaces if w >= 0), reverse=True):
+        B = Matrix(spaces[n].dim, M.dim, spaces[n].rows).transpose()
+        EK = kernel(E @ B)
+        if EK.dim:
+            out.append((n, [B.matvec(c) for c in EK.basis]))
+    return out
+
+
+def _random_invertible(rng, d):
+    while True:
+        P = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(d)]
+                              for _ in range(d)])
+        if P.rank() == d:
+            return P
+
+
+def _reference_modules():
+    from gtables.gallery import gln_sl2_tables, heisenberg_pipeline, sl3_fixture
+    rng = random.Random(18)
+    reg = builtin_labeling("SL2")
+    for t in range(35):
+        weights = [rng.randint(0, 2) for _ in range(rng.randint(1, 4))]
+        M = block_decomposition(reg, [("S%d" % i, IrrepId("SL2", w))
+                                      for i, w in enumerate(weights)]).module
+        P = _random_invertible(rng, M.dim)
+        Pinv = P.inverse()
+        yield "conjugate%d" % t, GModule("SL2", M.dim, {
+            op: P @ X @ Pinv for op, X in M.action.items()})
+    for label, m in sl2_poly_labeling(4).models.items():
+        yield "poly%s" % label.label, GModule("SL2", m.dim, m.action)
+    yield "heisenberg", heisenberg_pipeline().module
+    yield "sl3", sl3_fixture().tables["table"].source.module
+    yield "gln3", gln_sl2_tables(3)[0].source.module
+
+
+def test_highest_weight_vectors_match_the_eigenspace_scan():
+    modules = list(_reference_modules())
+    assert len(modules) >= 40
+    for name, M in modules:
+        got, want = highest_weight_vectors(M), eigenspace_scan_reference(M)
+        assert got == want, name
+        # the same scalar types too: int where integral, else Fraction
+        assert [[tuple(map(type, v)) for v in vs] for _, vs in got] == \
+            [[tuple(map(type, v)) for v in vs] for _, vs in want], name
 
 
 def test_highest_weight_scan_bounded_by_the_norm_of_h(monkeypatch):
-    # the 18-dimensional H_E(h3) has weights in [-2, 2]: five shifted
-    # kernels of H, then one kernel of E per weight 2, 1, 0, where a scan of
-    # every shift in [-18, 18] takes 37 + 3
+    # the 18-dimensional H_E(h3) has weights in [-2, 2]: one kernel of E,
+    # then one kernel of H - n on it per weight 2, 1, 0, where a scan of
+    # every weight up to the dimension would take 1 + 19
     from gtables import repkit
     from gtables.gallery import heisenberg_pipeline
     module = heisenberg_pipeline().module
@@ -287,7 +335,7 @@ def test_highest_weight_scan_bounded_by_the_norm_of_h(monkeypatch):
     monkeypatch.setattr(repkit, "kernel", counted)
     hw = highest_weight_vectors(module)
     assert [(n, len(vs)) for n, vs in hw] == [(2, 2), (1, 4), (0, 4)]
-    assert len(calls) == 8
+    assert len(calls) == 4
 
 
 def test_decompose_sl2_heisenberg():

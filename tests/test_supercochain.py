@@ -29,8 +29,6 @@ from gtables.supercochain import (
     class_coordinates,
     cohomology,
     differential,
-    element_to_json,
-    element_to_text,
     heisenberg_context,
     monomial_basis,
     sl2_act,
@@ -679,19 +677,6 @@ def test_blocked_cohomology_matches_unblocked_reference(name):
     # representatives, cocycle bases and boundary bases on every (p, q)
     n, brackets, _ = GRADED_ALGEBRAS[name]
     assert cohomology_mismatches(ComplexContext.from_brackets(n, brackets)) == []
-
-
-def test_rendering():
-    ctx = heisenberg_context()
-    e = M((0, 1), (0, 1)) + M((1, 2), (1, 2), F(-3, 2))
-    txt = element_to_text(e, ctx)
-    assert txt == "x^-1x^1⊗x_1x_-1 - 3/2 x^1h^0⊗x_-1h_0"
-    js = element_to_json(e)
-    assert js == {"terms": [
-        {"I": [0, 1], "J": [0, 1], "c": "1"},
-        {"I": [1, 2], "J": [1, 2], "c": "-3/2"},
-    ]}
-    assert element_to_text(BigradedElement.zero(), ctx) == "0"
 
 
 def test_monomial_canonicalization():
