@@ -230,6 +230,8 @@ class Matrix:
 
     def __getitem__(self, ij):
         i, j = ij
+        if not 0 <= i < self.nrows:
+            raise IndexError("row %r out of range" % (i,))
         if not 0 <= j < self.ncols:
             raise IndexError("column %r out of range" % (j,))
         return self._rows[i].get(j, 0)
@@ -393,20 +395,34 @@ class Subspace:
 
 
 def kernel(M: Matrix) -> Subspace:
-    """Null space {v : Mv = 0} with canonical basis."""
-    pivots, red = rref(M._rows, M.ncols)
+    """Null space {v : Mv = 0} with canonical basis.
+
+    One elimination, with the columns reversed.  Each free column f' of that
+    reduced form gives the null vector 1 at f' and minus the row entries at
+    f' on the pivots, which lie left of f'.  Turned back, every vector leads
+    at its own free column with a 1, and its other entries sit on pivot
+    columns, where no other vector leads: the vectors are the reduced echelon
+    basis, in order of their free columns.
+    """
+    n = M.ncols
+    last = n - 1
+    pivots, red = rref([{last - j: x for j, x in r.items()} for r in M._rows], n)
+    # reversed free column -> [(pivot column, entry of the null vector)],
+    # pivot columns decreasing
+    entries = {}
+    for c, row in zip(pivots, red):
+        for j, x in row.items():
+            if j != c:
+                entries.setdefault(j, []).append((last - c, -x))
     pivset = set(pivots)
     vecs = []
-    for f in range(M.ncols):
-        if f in pivset:
-            continue
-        v = {f: 1}
-        for i, c in enumerate(pivots):
-            x = red[i].get(f)
-            if x:
-                v[c] = -x
-        vecs.append(v)
-    return Subspace.from_echelon(M.ncols, rref(vecs, M.ncols)[1])
+    for f in range(n):
+        if last - f not in pivset:
+            v = {f: 1}
+            for c, x in reversed(entries.get(last - f, ())):
+                v[c] = x
+            vecs.append(v)
+    return Subspace.from_echelon(n, vecs)
 
 
 def solve(M: Matrix, b):

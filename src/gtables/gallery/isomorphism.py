@@ -115,7 +115,7 @@ def find_isomorphism(he_cup, he_bracket, gl_cup, gl_bracket) -> GMatrix:
     for irrep in sorted(types, key=str):
         src, tgt = types[irrep]
         if len(src) != len(tgt):
-            raise NotFound("isotypic multiplicities differ at %s" % irrep)
+            raise NotFound("isotypic multiplicities differ at %s" % (irrep,))
         blocks.append((src, [list(p) for p in permutations(tgt)]))
 
     ids = [s.id for s in A.summands]

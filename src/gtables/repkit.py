@@ -23,12 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
+from typing import NamedTuple
 
 from .exactla import Matrix, Subspace, canon, div, kernel
 
 
-@dataclass(frozen=True)
-class IrrepId:
+class IrrepId(NamedTuple):
+    """An irreducible by group and label; a tuple, so that hashing and
+    equality in the registry lookups run in C."""
+
     group: str  # "SL2", "S3", or "GL<k>"
     label: object  # SL2: highest weight int; S3: "tr"/"sg"/"std"; GLk: "trivial"/"adjoint"
 
@@ -410,16 +413,28 @@ def glk_basis(k):
 
 
 def glk_coords(A, k):
-    """Coordinates of a traceless sparse matrix in the glk_basis order."""
-    diag = [A[(i, i)] for i in range(k) if (i, i) in A]
+    """Coordinates of a traceless sparse matrix in the glk_basis order.
+
+    Only the stored entries are read: off-diagonal (i, j) is slot
+    i(k - 1) + j - (j > i), and the coordinate of D_i is the sum of the
+    diagonal entries up to i.  ValueError names an entry outside k x k.
+    """
+    off = k * (k - 1)
+    coords = [0] * (off + k - 1)
+    diag = [0] * k
+    for (i, j), x in A.items():
+        if not (0 <= i < k and 0 <= j < k):
+            raise ValueError("entry %r is outside %d x %d" % ((i, j), k, k))
+        if i == j:
+            diag[i] = x
+        else:
+            coords[i * (k - 1) + j - (j > i)] = x
     if sum(diag) != 0:
         raise ValueError("matrix is not traceless")
-    coords = [A.get((i, j), 0) for i in range(k) for j in range(k) if i != j]
     acc = 0
     for i in range(k - 1):
-        if (i, i) in A:
-            acc += A[(i, i)]
-        coords.append(acc)
+        acc += diag[i]
+        coords[off + i] = acc
     return coords
 
 

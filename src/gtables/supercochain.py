@@ -13,6 +13,14 @@ over the degree-one generators g and their partners g* (xi_i <-> e_i), with a
 right derivative on a and a left derivative on b.  The tests compare it with
 the biderivation extension computed by peeling one factor at a time.
 
+Inside the products, the bracket and the differential, a monomial is read as
+two integers, the bit masks of I and J (``_words``).  A repeated letter is a
+shared bit, and every sign is a count of transpositions read off popcounts:
+the position of a letter is the popcount of the mask below it, and merging
+the sorted letters of Y into those of X takes inv(X, Y) =
+sum_{y in Y} popcount(X >> (y + 1)) of them.  No index list is built or
+sorted; masks and index tuples are converted through memos filled on first use.
+
 An action of sl(2) on g by derivations X acts on cochains through the same
 bracket: X^ = -sum X[b, j] xi_j (x) e_b in C^{1,1} has {X^, e_j} = X e_j and
 {X^, xi_i} = -(X^T xi)_i, so ``sl2_act`` is {X^, -}.  The context checks on
@@ -146,59 +154,126 @@ class BigradedElement:
         return " + ".join(bits)
 
 
-def vee(a: BigradedElement, b: BigradedElement) -> BigradedElement:
-    """Super-commutative product: (phi(x)v)(psi(x)w) = (-1)^(p2 q1) phi^psi (x) v^w."""
-    out = {}
-    for (I1, J1), c1 in a.terms.items():
-        q1 = len(J1)
-        for (I2, J2), c2 in b.terms.items():
-            mi = _sort_tuple(I1 + I2)
-            if mi is None:
-                continue
-            mj = _sort_tuple(J1 + J2)
-            if mj is None:
-                continue
-            sign = mi[0] * mj[0] * (-1 if (len(I2) * q1) % 2 else 1)
-            key = (mi[1], mj[1])
-            out[key] = out.get(key, 0) + sign * c1 * c2
-    return BigradedElement(out)
+# index tuple -> bit mask and bit mask -> increasing index tuple, filled on
+# first use; each value is a function of its key alone, so every context
+# can share them
+_MASKS = {}
+_INDICES = {}
 
 
-def _word(I, J):
-    """xi_I e_J as a word of odd letters: (0, i) for xi_i, (1, j) for e_j."""
-    return [(0, i) for i in I] + [(1, j) for j in J]
+def _mask(indices):
+    """The bit mask with a bit at each index of a tuple; memoized.  A mask
+    has no order, so ValueError names a tuple that is not increasing."""
+    m = _MASKS.get(indices)
+    if m is None:
+        if any(a >= b for a, b in zip(indices, indices[1:])):
+            raise ValueError("index tuple %r is not strictly increasing"
+                             % (indices,))
+        m = 0
+        for i in indices:
+            m |= 1 << i
+        _MASKS[indices] = m
+    return m
 
 
-def _word_bracket(wa, wb):
-    """Terms (sign, I, J) of the bracket of two monomial words.
+def _indices(mask):
+    """The increasing index tuple of a bit mask; memoized."""
+    t = _INDICES.get(mask)
+    if t is None:
+        t = _INDICES[mask] = tuple([i for i in range(mask.bit_length())
+                                    if mask >> i & 1])
+    return t
 
-    One term per letter g of a whose partner g* occurs in b: moving g to the
-    end of a passes len(a) - 1 - p letters, moving g* to the front of b passes
-    s letters, and sorting what is left into canonical order gives the rest
-    of the sign.
-    """
-    out = []
-    last = len(wa) - 1
-    for p, (kind, i) in enumerate(wa):
-        partner = (1 - kind, i)
-        if partner not in wb:
-            continue
-        s = wb.index(partner)
-        st = _sort_tuple(wa[:p] + wa[p + 1:] + wb[:s] + wb[s + 1:])
-        if st is None:
-            continue
-        sign, word = st
-        if (last - p + s) % 2:
-            sign = -sign
-        # from lists: a tuple grown from an iterator is never reused from the
-        # free list of its size (see product_from_structure in gtable)
-        out.append((sign, tuple([x for k, x in word if not k]),
-                    tuple([x for k, x in word if k])))
-    return out
+
+def _element(out):
+    """The element with terms {(I mask, J mask): c}."""
+    return BigradedElement({(_indices(I), _indices(J)): c
+                            for (I, J), c in out.items()})
+
+
+def _inv(X, Y):
+    """The pairs x > y with x in X and y in Y, for bit masks X and Y: the
+    transpositions that merge the increasing letters of Y into those of X."""
+    n = 0
+    while Y:
+        low = Y & -Y
+        n += (X & -(low << 1)).bit_count()  # the bits of X above low
+        Y ^= low
+    return n
 
 
 def _words(a: BigradedElement):
-    return [(_word(I, J), c) for (I, J), c in a.terms.items()]
+    """((I mask, J mask, p, q), c) for each term c xi_I (x) e_J of a."""
+    return [((_mask(I), _mask(J), len(I), len(J)), c)
+            for (I, J), c in a.terms.items()]
+
+
+def vee(a: BigradedElement, b: BigradedElement) -> BigradedElement:
+    """Super-commutative product: (phi(x)v)(psi(x)w) = (-1)^(p2 q1) phi^psi (x) v^w.
+
+    Sorting I1 + I2 and J1 + J2 into increasing order takes inv(I1, I2) and
+    inv(J1, J2) transpositions; a repeated index gives zero.
+    """
+    words = _words(b)
+    out = {}
+    for (I1, J1, _, q1), c1 in _words(a):
+        for (I2, J2, p2, _), c2 in words:
+            if I1 & I2 or J1 & J2:
+                continue
+            c = c1 * c2
+            if (_inv(I1, I2) + _inv(J1, J2) + p2 * q1) & 1:
+                c = -c
+            key = (I1 | I2, J1 | J2)
+            out[key] = out.get(key, 0) + c
+    return _element(out)
+
+
+def _word_bracket(words_a, words_b):
+    """{(I mask, J mask): coefficient} of the bracket of two sums of words.
+
+    A monomial xi_I e_J is the word of odd letters xi_I then e_J, each part
+    increasing.  A pair of words gives one term per letter g of a whose
+    partner g* occurs in b: first xi_i against e_i for each bit i of
+    I_a & J_b, then e_j against xi_j for each bit j of J_a & I_b, both in
+    increasing order.  The term is zero when the remainders a', b' share a
+    letter.  Its sign exponent is (len(a) - 1 - pos_a) for moving g to the
+    end of a, pos_b for moving g* to the front of b, and the transpositions
+    that sort a'_I a'_J b'_I b'_J: inv(a'_I, b'_I) + |a'_J| |b'_I| +
+    inv(a'_J, b'_J).  Positions are popcounts below the letter.
+    """
+    out = {}
+    for (AI, AJ, pa, qa), c1 in words_a:
+        last = pa + qa - 1
+        for (BI, BJ, pb, _), c2 in words_b:
+            m = AI & BJ
+            while m:
+                bit = m & -m
+                m ^= bit
+                aI = AI ^ bit
+                bJ = BJ ^ bit
+                if aI & BI or AJ & bJ:
+                    continue
+                e = (last - (AI & (bit - 1)).bit_count()
+                     + pb + (BJ & (bit - 1)).bit_count()
+                     + _inv(aI, BI) + qa * pb + _inv(AJ, bJ))
+                c = c1 * c2
+                key = (aI | BI, AJ | bJ)
+                out[key] = out.get(key, 0) + (-c if e & 1 else c)
+            m = AJ & BI
+            while m:
+                bit = m & -m
+                m ^= bit
+                aJ = AJ ^ bit
+                bI = BI ^ bit
+                if AI & bI or aJ & BJ:
+                    continue
+                e = (last - pa - (AJ & (bit - 1)).bit_count()
+                     + (BI & (bit - 1)).bit_count()
+                     + _inv(AI, bI) + (qa - 1) * (pb - 1) + _inv(aJ, BJ))
+                c = c1 * c2
+                key = (AI | bI, aJ | BJ)
+                out[key] = out.get(key, 0) + (-c if e & 1 else c)
+    return out
 
 
 def bracket(a: BigradedElement, b: BigradedElement) -> BigradedElement:
@@ -212,13 +287,7 @@ def bracket(a: BigradedElement, b: BigradedElement) -> BigradedElement:
 
 def _bracket_words(words_a, b):
     """bracket(a, b) for a given by its words, as ``_words`` returns them."""
-    words = _words(b)
-    out = {}
-    for wa, c1 in words_a:
-        for wb, c2 in words:
-            for sign, I, J in _word_bracket(wa, wb):
-                out[(I, J)] = out.get((I, J), 0) + sign * c1 * c2
-    return BigradedElement(out)
+    return _element(_word_bracket(words_a, _words(b)))
 
 
 class ComplexContext:
@@ -354,37 +423,44 @@ def _weights(ctx):
 
 def _by_weight(ctx, p, q):
     """Indices into monomial_basis(n, p, q) grouped by the weight
-    sum w_J - sum w_I of their monomials, increasing within each block.
+    sum w_J - sum w_I of their monomials, increasing within each block;
+    memoized, since the blocks of C^{p,q} read those of p - 1, p and p + 1.
 
     A weight w is keyed by the integer sum_r w[r] * 2^(shift * r).  That
     packing is linear, and one-to-one on monomial weights: each component is
     a sum of at most 2n components of the w_i, so below 2^(shift - 1) in
     absolute value.
     """
-    w = _weights(ctx)
-    shift = (2 * ctx.n * max((abs(x) for v in w for x in v), default=0)
-             ).bit_length() + 1
-    packed = [sum(x << (shift * r) for r, x in enumerate(v)) for v in w]
-    sums = [[sum(packed[i] for i in c) for c in combinations(range(ctx.n), k)]
-            for k in (p, q)]
-    blocks = {}
-    # I outer and J inner, in the order of monomial_basis
-    for t, (wI, wJ) in enumerate(product(*sums)):
-        blocks.setdefault(wJ - wI, []).append(t)
-    return blocks
+    key = ("weight", p, q)
+    if key not in ctx._cache:
+        w = _weights(ctx)
+        shift = (2 * ctx.n * max((abs(x) for v in w for x in v), default=0)
+                 ).bit_length() + 1
+        packed = [sum(x << (shift * r) for r, x in enumerate(v)) for v in w]
+        sums = [[sum(packed[i] for i in c)
+                 for c in combinations(range(ctx.n), k)] for k in (p, q)]
+        blocks = {}
+        # I outer and J inner, in the order of monomial_basis
+        for t, (wI, wJ) in enumerate(product(*sums)):
+            blocks.setdefault(wJ - wI, []).append(t)
+        ctx._cache[key] = blocks
+    return ctx._cache[key]
 
 
 def _d_images(ctx, p, q):
     """d of each monomial of C^{p,q}, as {index into C^{p+1,q}: scalar};
     memoized, so that C^{p,q} (its cocycles) and C^{p+1,q} (its boundaries)
-    share one computation per monomial."""
+    share one computation per monomial.  Each row is the bracket of the
+    words of mu with the monomial's word, keyed by the masks of C^{p+1,q}."""
     key = ("d", p, q)
     if key not in ctx._cache:
-        index = {m: i for i, m in enumerate(monomial_basis(ctx.n, p + 1, q))}
+        index = {(_mask(I), _mask(J)): t for t, (I, J)
+                 in enumerate(monomial_basis(ctx.n, p + 1, q))}
         ctx._cache[key] = [
-            {index[k]: c for k, c in
-             differential(BigradedElement({m: 1}), ctx).terms.items()}
-            for m in monomial_basis(ctx.n, p, q)]
+            {index[k]: canon(c) for k, c in
+             _word_bracket(ctx._mu_words,
+                           [((_mask(I), _mask(J), p, q), 1)]).items() if c}
+            for I, J in monomial_basis(ctx.n, p, q)]
     return ctx._cache[key]
 
 

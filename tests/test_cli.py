@@ -239,6 +239,12 @@ def test_verify_module_golden(capsys, golden):
     golden("verify_exactla.txt", out)
 
 
+def test_verify_supercochain_golden(capsys, golden):
+    code, out, err = run_cli(capsys, "verify", "--module", "supercochain")
+    assert code == 0
+    golden("verify_supercochain.txt", out)
+
+
 @pytest.mark.parametrize("spec,field", [
     (h3_spec(product=[{"i": 0, "j": 1, "k": 2, "c": "1/0"}]), "product[0].c"),
     (h3_spec(dim="3"), "dim"),

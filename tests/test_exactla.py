@@ -141,6 +141,37 @@ def test_kernel_hand_example():
         assert all(x == 0 for x in M.matvec(v))
 
 
+def _kernel_two_eliminations(M):
+    """Reference for kernel: null vectors from one reduced form, then a
+    second elimination of them into the reduced echelon basis."""
+    pivots, red = rref(M._rows, M.ncols)
+    vecs = []
+    for f in range(M.ncols):
+        if f not in pivots:
+            v = {f: 1}
+            for i, c in enumerate(pivots):
+                x = red[i].get(f)
+                if x:
+                    v[c] = -x
+            vecs.append(v)
+    return Subspace.from_echelon(M.ncols, rref(vecs, M.ncols)[1])
+
+
+def test_kernel_matches_the_two_elimination_reference(canonical):
+    rng = random.Random(46)
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
+        rows = [[F(rng.randint(-4, 4), rng.randint(1, 3))
+                 if rng.random() < 0.6 else 0 for _ in range(ncols)]
+                for _ in range(nrows)]
+        M = Matrix.from_rows(rows, ncols)
+        K = kernel(M)
+        assert K == _kernel_two_eliminations(M)
+        # each row is stored with its keys in increasing order
+        assert all(list(r) == sorted(r) for r in K.rows)
+        assert all(canonical(x) for r in K.rows for x in r.values())
+
+
 def test_solve_identity():
     x, K = solve(Matrix.identity(3), [1, 2, 3])
     assert x == (F(1), F(2), F(3))
@@ -466,5 +497,10 @@ def test_matrix_ops():
     assert (A - A) == Matrix.zeros(2, 2)
     assert A.rank() == 2
     assert Matrix.from_cols([(1, 3), (2, 4)]) == A
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match="column 2"):
         A[0, 2]
+    for i in (-1, 2):
+        with pytest.raises(IndexError, match="row %d" % i):
+            A[i, 0]
+    with pytest.raises(IndexError, match="column -1"):
+        A[1, -1]

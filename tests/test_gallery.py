@@ -20,6 +20,7 @@ from gtables.gallery import (
     sl3_fixture,
 )
 from gtables.gallery.glnfamily import SizeMismatch
+from gtables.gallery.isomorphism import NotFound
 from gtables.repkit import S3_ELEMENTS, s3_compose
 from gtables.verify import _expand_via_module, morphism_corpus
 
@@ -274,6 +275,14 @@ def test_find_isomorphism(he_report):
     # independent oracle on the assembled 18x18 map
     assert morphism_oracle(he_report.bracket_table, gb, f)
     assert morphism_oracle(he_report.cup_table, gc, f)
+
+
+def test_find_isomorphism_names_the_irrep_whose_multiplicities_differ(
+        he_report):
+    # K[x,y]_{<=2} holds SL2:0 once, H_E four times
+    t = poly_fixture(2).tables["table"]
+    with pytest.raises(NotFound, match="multiplicities differ at SL2:0$"):
+        find_isomorphism(he_report.cup_table, he_report.bracket_table, t, t)
 
 
 def test_iso_archived_fixture_is_a_morphism(he_report):

@@ -213,6 +213,45 @@ def test_glk_matrix_and_glk_coords_round_trip(k):
         assert glk_matrix(glk_coords(T, k), basis) == T
 
 
+def _glk_coords_dense(A, k):
+    """Reference for glk_coords: every slot of the dense matrix read in the
+    glk_basis order."""
+    D = _dense(A, k)
+    coords = [D[i][j] for i in range(k) for j in range(k) if i != j]
+    return coords + [sum(D[t][t] for t in range(i + 1)) for i in range(k - 1)]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_glk_coords_reads_the_stored_entries(k):
+    rng = random.Random(60 + k)
+    for _ in range(20):
+        T = _random_sparse(rng, k)
+        T[(k - 1, k - 1)] = T.get((k - 1, k - 1), 0) - sum(
+            T.get((i, i), 0) for i in range(k))
+        assert glk_coords(T, k) == _glk_coords_dense(T, k)
+    with pytest.raises(ValueError, match="not traceless"):
+        glk_coords({(0, 0): 1}, k)
+    for key in ((k, 0), (0, k), (-1, 1)):
+        with pytest.raises(ValueError, match=re.escape("entry %r is outside"
+                                                       % (key,))):
+            glk_coords({key: 1}, k)
+
+
+def test_irrep_id_is_a_tuple_with_the_dataclass_surface():
+    a = IrrepId("SL2", 1)
+    assert repr(a) == "IrrepId(group='SL2', label=1)"
+    assert str(a) == "SL2:1"
+    assert a.to_json() == {"group": "SL2", "label": 1}
+    assert (a.group, a.label) == ("SL2", 1)
+    assert a == IrrepId("SL2", 1) and hash(a) == hash(IrrepId("SL2", 1))
+    assert a != IrrepId("SL2", 2) and a != IrrepId("GL2", 1)
+    ids = [IrrepId("S3", "tr"), IrrepId("GL3", "adjoint"), a]
+    assert sorted(ids, key=str) == [IrrepId("GL3", "adjoint"),
+                                    IrrepId("S3", "tr"), a]
+    # a tuple of ids is sorted by str through the repr of each
+    assert str((a,)) == "(IrrepId(group='SL2', label=1),)"
+
+
 def test_check_equivariance_names_the_broken_map():
     for group, i1, i2, j, rows in [
             ("SL2", 1, 1, 0, [[1, 0, 0, 0]]),

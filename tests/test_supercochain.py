@@ -237,6 +237,77 @@ def test_degree_bookkeeping_random():
                 assert (len(I), len(J)) == (p1 + p2 - 1, q1 + q2 - 1)
 
 
+def rand_sparse(rng, n, terms=4):
+    """A homogeneous element of a random bidegree with at most ``terms``
+    random monomials, so that n = 7 stays small."""
+    p, q = rand_bidegree(rng, n)
+    return BigradedElement({
+        (tuple(sorted(rng.sample(range(n), p))),
+         tuple(sorted(rng.sample(range(n), q)))):
+            F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
+        for _ in range(rng.randint(1, terms))})
+
+
+def _vee_sorting(a, b):
+    """Reference for vee: each product monomial by sorting the concatenated
+    index tuples, the sign counted by transpositions."""
+    out = BigradedElement()
+    for (I1, J1), c1 in a.terms.items():
+        for (I2, J2), c2 in b.terms.items():
+            sign = -1 if (len(I2) * len(J1)) % 2 else 1
+            out = out + M(I1 + I2, J1 + J2, sign * c1 * c2)
+    return out
+
+
+def test_mask_kernel_matches_the_references_up_to_dimension_7():
+    rng = random.Random(108)
+    for n in range(1, 8):
+        for _ in range(60):
+            a, b = rand_sparse(rng, n), rand_sparse(rng, n)
+            assert vee(a, b) == _vee_sorting(a, b), (n, a, b)
+            pick = lambda k: rng.randrange(k)
+            assert bracket(a, b) == _bracket_peeling(a, b, pick), (n, a, b)
+
+
+def test_products_reject_index_tuples_out_of_order():
+    # a mask forgets the order of the letters, so a key that is not
+    # canonical would lose its sign
+    for I in ((1, 0), (0, 0)):
+        bad = BigradedElement({(I, ()): 1})
+        for op in (vee, bracket):
+            with pytest.raises(ValueError, match=re.escape(
+                    "%r is not strictly increasing" % (I,))):
+                op(bad, M((), (0,)))
+
+
+FRACTIONAL = {
+    "h3 at 1/2": (3, {(0, 1): {2: F(1, 2)}}),
+    # ad(e_0) = diag(0, 1/2, 1/2): d(1 (x) e_1 e_2) = -xi_0 (x) e_1 e_2 sums
+    # two halves
+    "diag 1/2": (3, {(0, 1): {1: F(1, 2)}, (0, 2): {2: F(1, 2)}}),
+    "sl2xK2": (5, {(0, 1): {0: -2}, (0, 2): {1: 1}, (1, 2): {2: -2},
+                   (0, 4): {3: 1}, (1, 3): {3: 1}, (1, 4): {4: -1},
+                   (2, 3): {4: 1}}),
+    "so3 at 2/3": (3, {(0, 1): {2: F(2, 3)}, (1, 2): {0: F(2, 3)},
+                       (0, 2): {1: F(-2, 3)}}),
+}
+
+
+@pytest.mark.parametrize("name", list(FRACTIONAL))
+def test_d_images_rows_match_the_differential(name, canonical):
+    n, brackets = FRACTIONAL[name]
+    ctx = ComplexContext.from_brackets(n, brackets)
+    for p in range(n):
+        for q in range(n + 1):
+            above = monomial_basis(n, p + 1, q)
+            want = [{i: c for i, c in enumerate(to_coords(
+                        differential(BigradedElement({m: 1}), ctx), above)) if c}
+                    for m in monomial_basis(n, p, q)]
+            rows = _d_images(ctx, p, q)
+            assert rows == want, (p, q)
+            assert all(canonical(c) for r in rows for c in r.values())
+
+
 def test_d_squared_zero_on_all_monomials():
     ctx = heisenberg_context()
     for p in range(4):
@@ -250,21 +321,21 @@ def test_d_matrix_built_once_per_bidegree(monkeypatch):
     ctx = heisenberg_context()
     assert _d_images(ctx, 1, 2)[0] is _d_images(ctx, 1, 2)[0]
     ctx = heisenberg_context()
-    calls = []
-    real = sc.differential
+    rows = []
+    real = sc._word_bracket
 
-    def counted(c, ctx):
-        calls.append(c)
-        return real(c, ctx)
+    def counted(words_a, words_b):
+        rows.append(words_b)
+        return real(words_a, words_b)
 
-    monkeypatch.setattr(sc, "differential", counted)
+    monkeypatch.setattr(sc, "_word_bracket", counted)
     for p in range(4):
         for q in range(4):
             cohomology(ctx, p, q)
-    # one d per monomial of C^{p,q} with p < n, although (p, q) and (p+1, q)
-    # both need the image of each monomial of C^{p,q}
-    assert len(calls) == sum(len(monomial_basis(3, p, q))
-                             for p in range(3) for q in range(4)) == 56
+    # one row of d per monomial of C^{p,q} with p < n, although (p, q) and
+    # (p+1, q) both need the image of each monomial of C^{p,q}
+    assert len(rows) == sum(len(monomial_basis(3, p, q))
+                            for p in range(3) for q in range(4)) == 56
 
 
 def test_d_derives_vee_and_bracket():
@@ -600,17 +671,16 @@ def test_differential_reuses_the_words_of_mu(monkeypatch):
     ctx = heisenberg_context()
     c = M((0,), (1,)) + M((2,), (0,)) + M((1, 2), (2,), 3)
     calls = []
-    real = sc._word
+    real = sc._words
 
-    def counted(I, J):
-        calls.append((I, J))
-        return real(I, J)
+    def counted(a):
+        calls.append(a)
+        return real(a)
 
-    monkeypatch.setattr(sc, "_word", counted)
+    monkeypatch.setattr(sc, "_words", counted)
     assert differential(c, ctx) == bracket(ctx.mu, c)
     # the words of c, then those of mu and c again for the bracket
-    assert calls[:3] == list(c.terms)
-    assert len(calls) == 3 + len(ctx.mu.terms) + 3
+    assert calls == [c, ctx.mu, c]
 
 
 def test_injected_representatives_dependent_modulo_boundaries():
