@@ -21,6 +21,7 @@ block inclusions is block_decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import isqrt
 from typing import NamedTuple
@@ -101,8 +102,8 @@ class IntertwinerRegistry:
     def check_equivariance(self):
         """Verify every stored map intertwines the model actions.
 
-        For Lie-type groups the derivation identity is checked per operator;
-        for S3 the group identity is checked per element.
+        A Lie basis is checked by the derivation identity per operator,
+        group elements by the group identity per element.
         """
         for (i1, i2, j), maps in self.maps.items():
             m1, m2, mj = self.models[i1], self.models[i2], self.models[j]
@@ -123,16 +124,18 @@ def equivariance_failure(f, d1, d2, ops, group):
 
     ``ops`` lists (op, A1, A2, A) with the actions on the two arguments and
     on the values.  On basis vectors e_a, e_b the check is
-    f(A1 e_a, A2 e_b) == A f(e_a, e_b) for S3 (group elements) and
-    f(A1 e_a, e_b) + f(e_a, A2 e_b) == A f(e_a, e_b) otherwise (derivations).
+    f(A1 e_a, A2 e_b) == A f(e_a, e_b) when the operators are group
+    elements and f(A1 e_a, e_b) + f(e_a, A2 e_b) == A f(e_a, e_b) when they
+    are a Lie basis (derivations); ``_relations`` says which.
     """
+    finite = _relations(group, isqrt(len(ops)))[0]
     for op, A1, A2, A in ops:
         for a in range(d1):
             u = _unit(d1, a)
             Au = A1.col(a)
             for b in range(d2):
                 v = _unit(d2, b)
-                if group == "S3":
+                if finite:
                     lhs = tuple(f(Au, A2.col(b)))
                 else:
                     lhs = tuple(x + y for x, y in zip(f(Au, v), f(u, A2.col(b))))
@@ -170,11 +173,7 @@ def s3_compose(a, b):
 
 
 def s3_inverse(a):
-    p = _PERM[a]
-    inv = [0, 0, 0]
-    for i in range(3):
-        inv[p[i]] = i
-    return _NAME[tuple(inv)]
+    return _NAME[tuple(map(_PERM[a].index, range(3)))]
 
 
 def s3_sign(a):
@@ -194,11 +193,45 @@ _STD_MATRICES = {
 # ---------------------------------------------------------------------------
 # modules
 
+def _glk_name(p, q):
+    """GL(k)'s operator for the unit matrix at (p, q), counted from 0."""
+    return "E_%d%d" % (p + 1, q + 1)
+
+
+@cache
+def _relations(group, k):
+    """(finite, names, {(a, b): {c: x}}) of a group, built on first use; k
+    is read for GLk only.  Group elements (finite): ab = sum x c for every
+    ordered pair.  A Lie basis: [a, b] = sum x c, a before b in names, and
+    a pair not listed commutes."""
+    if group == "SL2":
+        return False, ("E", "F", "H"), {
+            ("E", "F"): {"H": 1}, ("E", "H"): {"E": -2}, ("F", "H"): {"F": 2}}
+    if group == "S3":
+        return True, S3_ELEMENTS, {(a, b): {s3_compose(a, b): 1}
+                                   for a in S3_ELEMENTS for b in S3_ELEMENTS}
+    if group != "GLk":
+        raise ValueError("unknown group %r" % group)
+    units = [(p, q) for p in range(k) for q in range(k)]
+    relations = {}
+    for (p, q), (r, s) in combinations(units, 2):
+        # [E_pq, E_rs] = d_qr E_ps - d_sp E_rq, two distinct operators
+        terms = {_glk_name(p, s): 1} if q == r else {}
+        if s == p:
+            terms[_glk_name(r, q)] = -1
+        if terms:
+            relations[_glk_name(p, q), _glk_name(r, s)] = terms
+    return False, tuple(_glk_name(p, q) for p, q in units), relations
+
+
 class GModule:
     """Finite dimensional module given by explicit action operators.
 
     ``action`` maps operator names to matrices: E/H/F for SL2, every group
-    element for S3, ad(E_pq) operators named "E_pq" for GL(k).
+    element for S3, ad(E_pq) operators named "E_pq" for GL(k).  ``validate``
+    reads one relation table per group (``_relations``): group elements or a
+    Lie basis, and a ValueError such as "[E_12, E_21] breaks the GLk
+    relations" or "(12)(23) breaks the S3 relations".
     """
 
     def __init__(self, group, dim, action, validate=True):
@@ -217,40 +250,19 @@ class GModule:
                     self.group, "lacks the" if op in names else "has the unknown", op))
 
     def validate(self):
-        if self.group == "SL2":
-            self._require_operators(("E", "H", "F"))
-            E, H, Fm = self.action["E"], self.action["H"], self.action["F"]
-            if E @ Fm - Fm @ E != H:
-                raise ValueError("[E,F] != H")
-            if H @ E - E @ H != E.scale(2):
-                raise ValueError("[H,E] != 2E")
-            if H @ Fm - Fm @ H != Fm.scale(-2):
-                raise ValueError("[H,F] != -2F")
-        elif self.group == "S3":
-            self._require_operators(S3_ELEMENTS)
-            for a in S3_ELEMENTS:
-                for b in S3_ELEMENTS:
-                    if self.action[a] @ self.action[b] != self.action[s3_compose(a, b)]:
-                        raise ValueError("S3 action is not a homomorphism")
-        elif self.group == "GLk":
-            k = isqrt(len(self.action))
-            names = ["E_%d%d" % (p, q) for p in range(1, k + 1)
-                     for q in range(1, k + 1)]
-            self._require_operators(names)
-            X = self.action
-            zero = Matrix.zeros(self.dim, self.dim)
-            # [X_pq, X_rs] = d_qr X_ps - d_sp X_rq is antisymmetric in the
-            # two operators, so each unordered pair is checked once
-            for a, b in combinations(names, 2):
-                p, q, r, s = a[2], a[3], b[2], b[3]
-                rhs = zero
-                if q == r:
-                    rhs = rhs + X["E_" + p + s]
-                if s == p:
-                    rhs = rhs - X["E_" + r + q]
-                if X[a] @ X[b] - X[b] @ X[a] != rhs:
-                    raise ValueError("[%s, %s] breaks the GL(k) relations"
-                                     % (a, b))
+        finite, names, relations = _relations(self.group, isqrt(len(self.action)))
+        self._require_operators(names)
+        X = self.action
+        # group elements: ab = sum x c over every ordered pair; a Lie basis:
+        # ab = ba + [a, b] over every unordered pair, as [a, b] = -[b, a]
+        for a, b in relations if finite else combinations(names, 2):
+            rhs = None if finite else X[b] @ X[a]
+            for c, x in relations.get((a, b), {}).items():
+                term = X[c] if x == 1 else X[c].scale(x)
+                rhs = term if rhs is None else rhs + term
+            if X[a] @ X[b] != rhs:
+                raise ValueError("%s breaks the %s relations" % (
+                    a + b if finite else "[%s, %s]" % (a, b), self.group))
 
     def __repr__(self):
         return "GModule(%s, dim %d)" % (self.group, self.dim)
@@ -328,26 +340,16 @@ class Decomposition:
 # ---------------------------------------------------------------------------
 # built-in labelings
 
-def _sl2_models():
-    sl2 = "SL2"
-    v0 = ModelIrrep(
-        IrrepId(sl2, 0), 1,
-        {"E": Matrix.zeros(1, 1), "H": Matrix.zeros(1, 1), "F": Matrix.zeros(1, 1)},
-        hw_vector=(1,))
-    v1 = ModelIrrep(
-        IrrepId(sl2, 1), 2,
-        {"E": Matrix.from_rows([[0, 1], [0, 0]]),
-         "H": Matrix.from_rows([[1, 0], [0, -1]]),
-         "F": Matrix.from_rows([[0, 0], [1, 0]])},
-        hw_vector=(1, 0))
-    # adjoint coordinates over the basis (E, H, F); hw vector is E itself
-    v2 = ModelIrrep(
-        IrrepId(sl2, 2), 3,
-        {"E": Matrix.from_rows([[0, -2, 0], [0, 0, 1], [0, 0, 0]]),
-         "H": Matrix.from_rows([[2, 0, 0], [0, 0, 0], [0, 0, -2]]),
-         "F": Matrix.from_rows([[0, 0, 0], [-1, 0, 0], [0, 2, 0]])},
-        hw_vector=(1, 0, 0))
-    return {m.id: m for m in (v0, v1, v2)}
+def _poly_model(r):
+    """K[x,y]_r on the monomials x^(r-j) y^j, the SL2 model of weight r."""
+    dim = r + 1
+    return ModelIrrep(IrrepId("SL2", r), dim, {
+        "E": Matrix.from_rows([[j if j == i + 1 else 0 for j in range(dim)]
+                               for i in range(dim)]),
+        "H": Matrix.from_rows([[r - 2 * i if i == j else 0 for j in range(dim)]
+                               for i in range(dim)]),
+        "F": Matrix.from_rows([[r - j if j == i - 1 else 0 for j in range(dim)]
+                               for i in range(dim)])}, hw_vector=_unit(dim, 0))
 
 
 def _unit_maps(models, maps):
@@ -378,8 +380,13 @@ def builtin_labeling(group, k=None) -> IntertwinerRegistry:
 
 
 def _sl2_labeling():
-    models = _sl2_models()
     i0, i1, i2 = IrrepId("SL2", 0), IrrepId("SL2", 1), IrrepId("SL2", 2)
+    # adjoint coordinates over the basis (E, H, F); hw vector is E itself
+    models = {i0: _poly_model(0), i1: _poly_model(1), i2: ModelIrrep(
+        i2, 3, {"E": Matrix.from_rows([[0, -2, 0], [0, 0, 1], [0, 0, 0]]),
+                "H": Matrix.from_rows([[2, 0, 0], [0, 0, 0], [0, 0, -2]]),
+                "F": Matrix.from_rows([[0, 0, 0], [-1, 0, 0], [0, 2, 0]])},
+        hw_vector=(1, 0, 0))}
     maps = {}
     _unit_maps(models, maps)
     mk = lambda t, rows: [Intertwiner(*t, 1, Matrix.from_rows(rows))]
@@ -514,7 +521,7 @@ def _glk_labeling(k):
     iad = IrrepId(gk, "adjoint")
     basis = glk_basis(k)
     dim = k * k - 1
-    action = {"E_%d%d" % (p + 1, q + 1): glk_ad({(p, q): 1}, k, basis)
+    action = {_glk_name(p, q): glk_ad({(p, q): 1}, k, basis)
               for p in range(k) for q in range(k)}
     triv = ModelIrrep(i0, 1, {op: Matrix.zeros(1, 1) for op in action})
     adj = ModelIrrep(iad, dim, action)
@@ -565,20 +572,7 @@ def sl2_poly_labeling(max_degree) -> IntertwinerRegistry:
     Models are K[x,y]_r with monomial basis x^(r-j) y^j; the only chosen
     intertwiners are m^(r1,r2,r1+r2).
     """
-    models = {}
-    for r in range(max_degree + 1):
-        dim = r + 1
-        E = Matrix.zeros(dim, dim) if dim == 1 else Matrix.from_rows(
-            [[j if j == i + 1 else 0 for j in range(dim)] for i in range(dim)])
-        H = Matrix.from_rows(
-            [[r - 2 * i if i == j else 0 for j in range(dim)]
-             for i in range(dim)])
-        Fm = Matrix.zeros(dim, dim) if dim == 1 else Matrix.from_rows(
-            [[r - j if j == i - 1 else 0 for j in range(dim)]
-             for i in range(dim)])
-        models[IrrepId("SL2", r)] = ModelIrrep(
-            IrrepId("SL2", r), dim, {"E": E, "H": H, "F": Fm},
-            hw_vector=_unit(dim, 0))
+    models = {IrrepId("SL2", r): _poly_model(r) for r in range(max_degree + 1)}
     maps = {}
     for r1 in range(max_degree + 1):
         for r2 in range(max_degree + 1 - r1):

@@ -86,7 +86,9 @@ class BigradedElement:
             for (I, J), c in terms.items():
                 c = canon(c)
                 if c:
-                    clean[(tuple(I), tuple(J))] = c
+                    I, J = tuple(I), tuple(J)
+                    _mask(I), _mask(J)  # ValueError unless strictly increasing
+                    clean[(I, J)] = c
         self.terms = clean
 
     @staticmethod

@@ -245,6 +245,22 @@ def test_verify_supercochain_golden(capsys, golden):
     golden("verify_supercochain.txt", out)
 
 
+@pytest.mark.parametrize("module", ["gtable", "gallery"])
+def test_verify_suite_golden(capsys, golden, module):
+    code, out, err = run_cli(capsys, "verify", "--module", module)
+    assert code == 0
+    golden("verify_%s.txt" % module, out)
+
+
+def extract_in_subprocess(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    return subprocess.run(
+        [sys.executable, "-m", "gtables", "extract", "--spec", str(path)],
+        capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("spec,field", [
     (h3_spec(product=[{"i": 0, "j": 1, "k": 2, "c": "1/0"}]), "product[0].c"),
     (h3_spec(dim="3"), "dim"),
@@ -261,12 +277,7 @@ def test_verify_supercochain_golden(capsys, golden):
 ], ids=["zero-denominator", "string-dim", "list-action", "top-level-array",
         "unlabeled-weight", "unknown-s3-label", "glk"])
 def test_extract_malformed_spec_exits_2(tmp_path, spec, field):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(spec))
-    env = dict(os.environ, PYTHONPATH=SRC_DIR)
-    proc = subprocess.run(
-        [sys.executable, "-m", "gtables", "extract", "--spec", str(path)],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = extract_in_subprocess(tmp_path, spec)
     assert proc.returncode == 2
     assert field in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -280,12 +291,25 @@ def test_extract_malformed_spec_exits_2(tmp_path, spec, field):
 ], ids=["missing-F", "extra-X"])
 def test_extract_spec_operator_names_checked_by_the_module(tmp_path, action,
                                                            message):
-    path = tmp_path / "ops.json"
-    path.write_text(json.dumps(h3_spec(action=action)))
-    env = dict(os.environ, PYTHONPATH=SRC_DIR)
-    proc = subprocess.run(
-        [sys.executable, "-m", "gtables", "extract", "--spec", str(path)],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = extract_in_subprocess(tmp_path, h3_spec(action=action))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("bad spec file: %s\n" % message)
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("spec,message", [
+    # (12) acts by -1 and (23) by 1, but their product (123) by 1
+    ({"group": "S3", "dim": 1, "product": [],
+      "action": {g: [[-1 if g == "(12)" else 1]] for g in S3_ELEMENTS}},
+     "(12)(23) breaks the S3 relations"),
+    # [E, F] = diag(1, -1) but H = 1
+    ({"group": "SL2", "dim": 2, "product": [],
+      "action": {"E": [[0, 1], [0, 0]], "H": [[1, 0], [0, 1]],
+                 "F": [[0, 0], [1, 0]]}},
+     "[E, F] breaks the SL2 relations"),
+], ids=["s3-not-a-homomorphism", "sl2-bracket"])
+def test_extract_spec_relations_checked_by_the_module(tmp_path, spec, message):
+    proc = extract_in_subprocess(tmp_path, spec)
     assert proc.returncode == 2
     assert proc.stderr.startswith("bad spec file: %s\n" % message)
     assert "Traceback" not in proc.stderr

@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -11,6 +12,7 @@ from gtables.repkit import (
     IrrepId,
     S3_ELEMENTS,
     Intertwiner,
+    _relations,
     block_decomposition,
     builtin_labeling,
     decompose_s3,
@@ -23,7 +25,9 @@ from gtables.repkit import (
     s3_compose,
     s3_inverse,
     sl2_poly_labeling,
+    smat_add,
     smat_comm,
+    smat_scale,
     smat_sym,
     smat_trace_prod,
 )
@@ -573,6 +577,56 @@ def test_glk_module_checked_against_relations():
         GModule("GLk", 2, arbitrary)
     adj = builtin_labeling("GLk", k=3).models[IrrepId("GL3", "adjoint")]
     GModule("GLk", 8, adj.action)
+
+
+def test_glk_module_with_two_digit_indices_checked_against_relations():
+    # GL(10) on K by the trace: E_pp acts by 1, E_pq (p != q) by 0
+    trace = {"E_%d%d" % (p, q): Matrix.from_rows([[1 if p == q else 0]])
+             for p in range(1, 11) for q in range(1, 11)}
+    GModule("GLk", 1, trace)
+    trace["E_110"] = Matrix.identity(1)  # E_{1,10} no longer commutes
+    with pytest.raises(ValueError, match=r"\[E_\d+, E_\d+\] breaks the GLk"):
+        GModule("GLk", 1, trace)
+
+
+def test_glk_relation_table_matches_the_commutators():
+    for k in (2, 3, 4):
+        finite, names, relations = _relations("GLk", k)
+        unit = {"E_%d%d" % (p + 1, q + 1): {(p, q): 1}
+                for p in range(k) for q in range(k)}
+        assert not finite and list(names) == list(unit)
+        pairs = list(combinations(names, 2))
+        assert set(relations) <= set(pairs)
+        for a, b in pairs:
+            listed = relations.get((a, b), {})
+            assert smat_comm(unit[a], unit[b]) == smat_add(
+                *(smat_scale(x, unit[c]) for c, x in listed.items())), (a, b)
+
+
+def test_s3_action_must_be_a_homomorphism():
+    # (12) acts by -1 and (23) by 1, but their product (123) by 1
+    bad = {g: Matrix.from_rows([[-1 if g == "(12)" else 1]])
+           for g in S3_ELEMENTS}
+    with pytest.raises(ValueError, match=re.escape(
+            "(12)(23) breaks the S3 relations")):
+        GModule("S3", 1, bad)
+
+
+def test_every_builtin_model_satisfies_its_relations():
+    registries = [builtin_labeling("SL2"), sl2_poly_labeling(4),
+                  builtin_labeling("S3"),
+                  *(builtin_labeling("GLk", k=k) for k in (2, 3, 4))]
+    models = [(reg.group, m) for reg in registries for m in reg.models.values()]
+    assert len(models) == 3 + 5 + 3 + 2 * 3
+    for group, m in models:
+        GModule(group, m.dim, m.action)
+    # the check is not vacuous: E and F swapped on K^2 give [E, F] = -H
+    v1 = builtin_labeling("SL2").models[IrrepId("SL2", 1)].action
+    with pytest.raises(ValueError, match=re.escape(
+            "[E, F] breaks the SL2 relations")):
+        GModule("SL2", 2, dict(v1, E=v1["F"], F=v1["E"]))
+    with pytest.raises(ValueError, match="unknown group 'SO3'"):
+        GModule("SO3", 1, {})
 
 
 def test_sl2_and_s3_modules_checked_for_their_operator_names():
