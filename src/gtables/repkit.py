@@ -193,9 +193,10 @@ _STD_MATRICES = {
 # ---------------------------------------------------------------------------
 # modules
 
-def _glk_name(p, q):
-    """GL(k)'s operator for the unit matrix at (p, q), counted from 0."""
-    return "E_%d%d" % (p + 1, q + 1)
+def _glk_name(p, q, k):
+    """GL(k)'s operator for the unit matrix at (p, q), counted from 0: "E_12",
+    or "E_1_12" from k = 11 on, where "E_112" would be ambiguous."""
+    return ("E_%d_%d" if k >= 11 else "E_%d%d") % (p + 1, q + 1)
 
 
 @cache
@@ -216,12 +217,12 @@ def _relations(group, k):
     relations = {}
     for (p, q), (r, s) in combinations(units, 2):
         # [E_pq, E_rs] = d_qr E_ps - d_sp E_rq, two distinct operators
-        terms = {_glk_name(p, s): 1} if q == r else {}
+        terms = {_glk_name(p, s, k): 1} if q == r else {}
         if s == p:
-            terms[_glk_name(r, q)] = -1
+            terms[_glk_name(r, q, k)] = -1
         if terms:
-            relations[_glk_name(p, q), _glk_name(r, s)] = terms
-    return False, tuple(_glk_name(p, q) for p, q in units), relations
+            relations[_glk_name(p, q, k), _glk_name(r, s, k)] = terms
+    return False, tuple(_glk_name(p, q, k) for p, q in units), relations
 
 
 class GModule:
@@ -229,9 +230,10 @@ class GModule:
 
     ``action`` maps operator names to matrices: E/H/F for SL2, every group
     element for S3, ad(E_pq) operators named "E_pq" for GL(k).  ``validate``
-    reads one relation table per group (``_relations``): group elements or a
-    Lie basis, and a ValueError such as "[E_12, E_21] breaks the GLk
-    relations" or "(12)(23) breaks the S3 relations".
+    checks that each operator is dim x dim, then reads one relation table per
+    group (``_relations``): group elements or a Lie basis, and a ValueError
+    such as "[E_12, E_21] breaks the GLk relations" or "(12)(23) breaks the
+    S3 relations".
     """
 
     def __init__(self, group, dim, action, validate=True):
@@ -253,6 +255,10 @@ class GModule:
         finite, names, relations = _relations(self.group, isqrt(len(self.action)))
         self._require_operators(names)
         X = self.action
+        for op in names:
+            if X[op].shape != (self.dim, self.dim):
+                raise ValueError("%s operator %s is not %d x %d"
+                                 % (self.group, op, self.dim, self.dim))
         # group elements: ab = sum x c over every ordered pair; a Lie basis:
         # ab = ba + [a, b] over every unordered pair, as [a, b] = -[b, a]
         for a, b in relations if finite else combinations(names, 2):
@@ -521,7 +527,7 @@ def _glk_labeling(k):
     iad = IrrepId(gk, "adjoint")
     basis = glk_basis(k)
     dim = k * k - 1
-    action = {_glk_name(p, q): glk_ad({(p, q): 1}, k, basis)
+    action = {_glk_name(p, q, k): glk_ad({(p, q): 1}, k, basis)
               for p in range(k) for q in range(k)}
     triv = ModelIrrep(i0, 1, {op: Matrix.zeros(1, 1) for op in action})
     adj = ModelIrrep(iad, dim, action)

@@ -1,11 +1,12 @@
 """Bigraded cochains Lambda^p g* (x) Lambda^q g with cup product, super bracket,
 Chevalley-Eilenberg differential d = {mu,-}, and cohomology.
 
-Monomials are stored canonically: strictly increasing dual index tuple I,
-strictly increasing primal index tuple J, signs absorbed into the coefficient.
-The bracket is the degree (-1,-1) Lie super bracket generated by
-{g,g} = {g*,g*} = 0 and {xi, e} = xi(e), extended as a biderivation.  In
-closed form it is the odd-Poisson formula
+A monomial xi_I (x) e_J is keyed by two integers, the bit masks of I and J,
+with the sign of the increasing order absorbed into the coefficient.
+``BigradedElement.monomial`` builds one from index sequences in any order, and
+``repr`` shows the index lists.  The bracket is the degree (-1,-1) Lie super
+bracket generated by {g,g} = {g*,g*} = 0 and {xi, e} = xi(e), extended as a
+biderivation.  In closed form it is the odd-Poisson formula
 
     {a, b} = sum_g (a d<-/dg)(d->/dg* b)
 
@@ -13,13 +14,11 @@ over the degree-one generators g and their partners g* (xi_i <-> e_i), with a
 right derivative on a and a left derivative on b.  The tests compare it with
 the biderivation extension computed by peeling one factor at a time.
 
-Inside the products, the bracket and the differential, a monomial is read as
-two integers, the bit masks of I and J (``_words``).  A repeated letter is a
-shared bit, and every sign is a count of transpositions read off popcounts:
-the position of a letter is the popcount of the mask below it, and merging
-the sorted letters of Y into those of X takes inv(X, Y) =
-sum_{y in Y} popcount(X >> (y + 1)) of them.  No index list is built or
-sorted; masks and index tuples are converted through memos filled on first use.
+A repeated letter is a shared bit, and every sign is a count of
+transpositions read off popcounts: the position of a letter is the popcount
+of the mask below it, and merging the sorted letters of Y into those of X
+takes inv(X, Y) = sum_{y in Y} popcount(X >> (y + 1)) of them.  No index list
+is built or sorted.
 
 An action of sl(2) on g by derivations X acts on cochains through the same
 bracket: X^ = -sum X[b, j] xi_j (x) e_b in C^{1,1} has {X^, e_j} = X e_j and
@@ -60,35 +59,24 @@ class NotACocycle(Exception):
     pass
 
 
-def _sort_tuple(seq):
-    """Sort index sequence, returning (sign, tuple) or None on a repeat."""
-    seq = list(seq)
-    sign = 1
-    for i in range(1, len(seq)):
-        j = i
-        while j > 0 and seq[j - 1] > seq[j]:
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
-            sign = -sign
-            j -= 1
-        if j > 0 and seq[j - 1] == seq[j]:
-            return None
-    return sign, tuple(seq)
-
-
 class BigradedElement:
-    """Finite linear combination of monomials xi_I (x) e_J."""
+    """Finite linear combination of monomials xi_I (x) e_J, as
+    {(I mask, J mask): c}."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         clean = {}
         if terms:
-            for (I, J), c in terms.items():
+            for key, c in terms.items():
                 c = canon(c)
                 if c:
-                    I, J = tuple(I), tuple(J)
-                    _mask(I), _mask(J)  # ValueError unless strictly increasing
-                    clean[(I, J)] = c
+                    if not (type(key) is tuple and len(key) == 2
+                            and type(key[0]) is int and type(key[1]) is int
+                            and key[0] >= 0 and key[1] >= 0):
+                        raise ValueError("monomial key %r is not a pair of "
+                                         "bit masks" % (key,))
+                    clean[key] = c
         self.terms = clean
 
     @staticmethod
@@ -97,16 +85,26 @@ class BigradedElement:
 
     @staticmethod
     def one():
-        return BigradedElement({((), ()): 1})
+        return BigradedElement({(0, 0): 1})
 
     @staticmethod
     def monomial(I, J, c=1):
-        """Monomial with arbitrary index order; the sign is canonicalized away."""
-        si = _sort_tuple(I)
-        sj = _sort_tuple(J)
-        if si is None or sj is None:
-            return BigradedElement()
-        return BigradedElement({(si[1], sj[1]): canon(c) * si[0] * sj[0]})
+        """c xi_I (x) e_J for index sequences in any order; the sign of sorting
+        them is absorbed into c, and a repeated index gives zero."""
+        c = canon(c)
+        key = []
+        for seq in (I, J):
+            m = 0
+            for i in seq:
+                bit = 1 << i
+                if m & bit:
+                    return BigradedElement()
+                # i moves past each letter above it, the set bits of m >> i
+                if (m >> i).bit_count() & 1:
+                    c = -c
+                m |= bit
+            key.append(m)
+        return BigradedElement({tuple(key): c})
 
     def is_zero(self):
         return not self.terms
@@ -137,11 +135,11 @@ class BigradedElement:
         """Homogeneous components as {(p, q): element}."""
         out = {}
         for (I, J), c in self.terms.items():
-            out.setdefault((len(I), len(J)), {})[(I, J)] = c
+            out.setdefault((I.bit_count(), J.bit_count()), {})[(I, J)] = c
         return {pq: BigradedElement(t) for pq, t in out.items()}
 
     def bidegree(self):
-        degs = {(len(I), len(J)) for (I, J) in self.terms}
+        degs = {(I.bit_count(), J.bit_count()) for (I, J) in self.terms}
         if len(degs) != 1:
             raise ValueError("element is not homogeneous: %s" % sorted(degs))
         return next(iter(degs))
@@ -149,48 +147,15 @@ class BigradedElement:
     def __repr__(self):
         if not self.terms:
             return "0"
-        bits = []
-        for (I, J) in sorted(self.terms):
-            c = self.terms[(I, J)]
-            bits.append("%s*(%s|%s)" % (scalar_to_str(c), list(I), list(J)))
-        return " + ".join(bits)
-
-
-# index tuple -> bit mask and bit mask -> increasing index tuple, filled on
-# first use; each value is a function of its key alone, so every context
-# can share them
-_MASKS = {}
-_INDICES = {}
-
-
-def _mask(indices):
-    """The bit mask with a bit at each index of a tuple; memoized.  A mask
-    has no order, so ValueError names a tuple that is not increasing."""
-    m = _MASKS.get(indices)
-    if m is None:
-        if any(a >= b for a, b in zip(indices, indices[1:])):
-            raise ValueError("index tuple %r is not strictly increasing"
-                             % (indices,))
-        m = 0
-        for i in indices:
-            m |= 1 << i
-        _MASKS[indices] = m
-    return m
+        return " + ".join(
+            "%s*(%s|%s)" % (scalar_to_str(c), list(I), list(J))
+            for I, J, c in sorted((_indices(I), _indices(J), c)
+                                  for (I, J), c in self.terms.items()))
 
 
 def _indices(mask):
-    """The increasing index tuple of a bit mask; memoized."""
-    t = _INDICES.get(mask)
-    if t is None:
-        t = _INDICES[mask] = tuple([i for i in range(mask.bit_length())
-                                    if mask >> i & 1])
-    return t
-
-
-def _element(out):
-    """The element with terms {(I mask, J mask): c}."""
-    return BigradedElement({(_indices(I), _indices(J)): c
-                            for (I, J), c in out.items()})
+    """The increasing index tuple of a bit mask."""
+    return tuple([i for i in range(mask.bit_length()) if mask >> i & 1])
 
 
 def _inv(X, Y):
@@ -204,34 +169,30 @@ def _inv(X, Y):
     return n
 
 
-def _words(a: BigradedElement):
-    """((I mask, J mask, p, q), c) for each term c xi_I (x) e_J of a."""
-    return [((_mask(I), _mask(J), len(I), len(J)), c)
-            for (I, J), c in a.terms.items()]
-
-
 def vee(a: BigradedElement, b: BigradedElement) -> BigradedElement:
     """Super-commutative product: (phi(x)v)(psi(x)w) = (-1)^(p2 q1) phi^psi (x) v^w.
 
     Sorting I1 + I2 and J1 + J2 into increasing order takes inv(I1, I2) and
     inv(J1, J2) transpositions; a repeated index gives zero.
     """
-    words = _words(b)
+    terms = b.terms.items()
     out = {}
-    for (I1, J1, _, q1), c1 in _words(a):
-        for (I2, J2, p2, _), c2 in words:
+    for (I1, J1), c1 in a.terms.items():
+        q1 = J1.bit_count()
+        for (I2, J2), c2 in terms:
             if I1 & I2 or J1 & J2:
                 continue
             c = c1 * c2
-            if (_inv(I1, I2) + _inv(J1, J2) + p2 * q1) & 1:
+            if (_inv(I1, I2) + _inv(J1, J2) + I2.bit_count() * q1) & 1:
                 c = -c
             key = (I1 | I2, J1 | J2)
             out[key] = out.get(key, 0) + c
-    return _element(out)
+    return BigradedElement(out)
 
 
-def _word_bracket(words_a, words_b):
-    """{(I mask, J mask): coefficient} of the bracket of two sums of words.
+def _word_bracket(a_terms, b_terms):
+    """{(I mask, J mask): coefficient} of the bracket of two sums of terms,
+    each given as {(I mask, J mask): c}.
 
     A monomial xi_I e_J is the word of odd letters xi_I then e_J, each part
     increasing.  A pair of words gives one term per letter g of a whose
@@ -243,10 +204,13 @@ def _word_bracket(words_a, words_b):
     that sort a'_I a'_J b'_I b'_J: inv(a'_I, b'_I) + |a'_J| |b'_I| +
     inv(a'_J, b'_J).  Positions are popcounts below the letter.
     """
+    b_terms = b_terms.items()
     out = {}
-    for (AI, AJ, pa, qa), c1 in words_a:
+    for (AI, AJ), c1 in a_terms.items():
+        pa, qa = AI.bit_count(), AJ.bit_count()
         last = pa + qa - 1
-        for (BI, BJ, pb, _), c2 in words_b:
+        for (BI, BJ), c2 in b_terms:
+            pb = BI.bit_count()
             m = AI & BJ
             while m:
                 bit = m & -m
@@ -284,21 +248,17 @@ def bracket(a: BigradedElement, b: BigradedElement) -> BigradedElement:
     {a, b} = sum_g (a d<-/dg)(d->/dg* b), summed over the generators g and
     their partners g* (xi_i <-> e_i); both kinds of letter take the same sign.
     """
-    return _bracket_words(_words(a), b)
-
-
-def _bracket_words(words_a, b):
-    """bracket(a, b) for a given by its words, as ``_words`` returns them."""
-    return _element(_word_bracket(words_a, _words(b)))
+    return BigradedElement(_word_bracket(a.terms, b.terms))
 
 
 class ComplexContext:
     """Dimension, Lie structure mu, optional sl2 action on g.
 
-    mu lives in bidegree (2,1); {mu,mu} = 0 is verified on construction, which
-    is exactly the Jacobi identity for the encoded bracket (and gives d^2 = 0).
-    ``sl2`` maps E, H, F to n x n matrices; they must satisfy the sl(2)
-    relations and act on g by derivations, {mu, X^} = 0.
+    mu lives in bidegree (2,1) on indices in range(n); {mu,mu} = 0 is verified
+    on construction, which is exactly the Jacobi identity for the encoded
+    bracket (and gives d^2 = 0).  ``sl2`` maps E, H, F to n x n matrices; they
+    must satisfy the sl(2) relations and act on g by derivations,
+    {mu, X^} = 0.
     """
 
     def __init__(self, n, mu, sl2=None):
@@ -306,33 +266,43 @@ class ComplexContext:
         self.mu = mu
         self.sl2 = sl2
         self._cache = {}
-        if any(len(I) != 2 or len(J) != 1 for (I, J) in mu.terms):
+        if any(I.bit_count() != 2 or J.bit_count() != 1 for (I, J) in mu.terms):
             raise ValueError("mu must be homogeneous of bidegree (2,1)")
+        for I, J in mu.terms:
+            if (I | J) >> n:
+                raise ValueError("mu term %s (x) %s has an index outside "
+                                 "range(%d)" % (_indices(I), _indices(J), n))
         if not bracket(mu, mu).is_zero():
             raise ValueError("{mu,mu} != 0: structure constants violate Jacobi")
-        self._mu_words = _words(mu)  # built once, read by every differential
-        self._sl2_words = {}  # op -> words of X^, read by every sl2_act
+        self._hats = {}  # op -> X^, read by every sl2_act
         if sl2 is not None:
-            GModule("SL2", n, sl2)  # the sl(2) relations
+            GModule("SL2", n, sl2)  # n x n operators and the sl(2) relations
             for op, X in sl2.items():
-                if X.shape != (n, n):
-                    raise ValueError("sl2 operator %s is not %d x %d" % (op, n, n))
-                hat = BigradedElement({((j,), (b,)): -x
+                hat = BigradedElement({(1 << j, 1 << b): -x
                                        for b, j, x in X.entries()})
                 if not bracket(mu, hat).is_zero():
                     raise ValueError("sl2 operator %s is not a derivation of g"
                                      % op)
-                self._sl2_words[op] = _words(hat)
+                self._hats[op] = hat
 
     @staticmethod
     def from_brackets(n, brackets, sl2=None):
-        """mu = sum_{i<j} xi_i xi_j (x) [e_i, e_j] from {(i,j): {k: c}}."""
+        """mu = sum_{i<j} xi_i xi_j (x) [e_i, e_j] from {(i,j): {k: c}};
+        ValueError names an index that is not an int in range(n), or an image
+        that is not a dict."""
         terms = {}
         for (i, j), img in brackets.items():
+            if not isinstance(img, dict):
+                raise ValueError("the image of [e_%r, e_%r] is not a dict"
+                                 % (i, j))
+            for k in (i, j, *img):
+                if type(k) is not int or not 0 <= k < n:
+                    raise ValueError("index %r of [e_%r, e_%r] is not an int "
+                                     "in range(%d)" % (k, i, j, n))
             if not i < j:
                 raise ValueError("use keys with i < j")
             for k, c in img.items():
-                key = ((i, j), (k,))
+                key = (1 << i | 1 << j, 1 << k)
                 terms[key] = terms.get(key, 0) + canon(c)
         return ComplexContext(n, BigradedElement(terms), sl2)
 
@@ -353,24 +323,27 @@ def heisenberg_context() -> ComplexContext:
 
 def differential(c: BigradedElement, ctx: ComplexContext) -> BigradedElement:
     """d c = {mu, c}."""
-    return _bracket_words(ctx._mu_words, c)
+    return bracket(ctx.mu, c)
 
 
 def sl2_act(op, c: BigradedElement, ctx: ComplexContext) -> BigradedElement:
     """X c = {X^, c}, the derivation extension of the action of X = sl2[op]
     on g (duals carry minus the transpose).  ValueError names an operator
     that the context's sl2 lacks."""
-    if op not in ctx._sl2_words:
+    if op not in ctx._hats:
         raise ValueError("the context has no sl2 operator %r" % (op,))
-    return _bracket_words(ctx._sl2_words[op], c)
+    return bracket(ctx._hats[op], c)
 
 
 # ---------------------------------------------------------------------------
 # coordinates and cohomology
 
 def monomial_basis(n, p, q):
-    return [(I, J) for I in combinations(range(n), p)
-            for J in combinations(range(n), q)]
+    """The (I mask, J mask) of C^{p,q}: I outer and J inner, each in the order
+    of ``combinations(range(n), .)``."""
+    return list(product(*[[sum([1 << i for i in c])
+                            for c in combinations(range(n), k)]
+                           for k in (p, q)]))
 
 
 def to_coords(elt: BigradedElement, basis):
@@ -384,13 +357,13 @@ def _sparse_coords(elt: BigradedElement, basis, index):
     """{i: c} over the terms c basis[i] of elt, for index = {basis[i]: i};
     ValueError names a term outside the basis."""
     out = {}
-    for key, c in elt.terms.items():
-        i = index.get(key)
+    for (I, J), c in elt.terms.items():
+        i = index.get((I, J))
         if i is None:
-            where = ("bidegree (%d, %d)" % tuple(map(len, basis[0])) if basis
-                     else "an empty bidegree")
+            where = ("bidegree (%d, %d)" % tuple(m.bit_count() for m in basis[0])
+                     if basis else "an empty bidegree")
             raise ValueError("monomial %r is outside the basis of %s"
-                             % (key, where))
+                             % ((_indices(I), _indices(J)), where))
         out[i] = c
     return out
 
@@ -409,7 +382,8 @@ def _weights(ctx):
     """
     if "weights" not in ctx._cache:
         rows = []
-        for (i, j), (k,) in ctx.mu.terms:
+        for I, J in ctx.mu.terms:
+            (i, j), (k,) = _indices(I), _indices(J)
             row = {i: 1, j: 1}  # i < j
             row[k] = row.get(k, 0) - 1
             rows.append({a: x for a, x in row.items() if x})
@@ -452,17 +426,15 @@ def _by_weight(ctx, p, q):
 def _d_images(ctx, p, q):
     """d of each monomial of C^{p,q}, as {index into C^{p+1,q}: scalar};
     memoized, so that C^{p,q} (its cocycles) and C^{p+1,q} (its boundaries)
-    share one computation per monomial.  Each row is the bracket of the
-    words of mu with the monomial's word, keyed by the masks of C^{p+1,q}."""
+    share one computation per monomial.  Each row is the bracket of mu with
+    the monomial, keyed by the masks of C^{p+1,q}."""
     key = ("d", p, q)
     if key not in ctx._cache:
-        index = {(_mask(I), _mask(J)): t for t, (I, J)
-                 in enumerate(monomial_basis(ctx.n, p + 1, q))}
+        index = {m: t for t, m in enumerate(monomial_basis(ctx.n, p + 1, q))}
         ctx._cache[key] = [
             {index[k]: canon(c) for k, c in
-             _word_bracket(ctx._mu_words,
-                           [((_mask(I), _mask(J), p, q), 1)]).items() if c}
-            for I, J in monomial_basis(ctx.n, p, q)]
+             _word_bracket(ctx.mu.terms, {m: 1}).items() if c}
+            for m in monomial_basis(ctx.n, p, q)]
     return ctx._cache[key]
 
 

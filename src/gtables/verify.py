@@ -277,7 +277,8 @@ def _bracket_peeling(a, b, pick):
     out = sc.BigradedElement()
     for (I1, J1), c1 in a.terms.items():
         for (I2, J2), c2 in b.terms.items():
-            t = _peel(I1, J1, I2, J2, pick)
+            t = _peel(sc._indices(I1), sc._indices(J1),
+                      sc._indices(I2), sc._indices(J2), pick)
             if not t.is_zero():
                 out = out + t.scale(c1 * c2)
     return out
@@ -308,9 +309,9 @@ def _peel(I1, J1, I2, J2, pick):
     else:
         p = pos - len(I1)
         uI, uJ, I1r, J1r = (), (J1[p],), I1, J1[:p] + J1[p + 1:]
-    u = E({(uI, uJ): F(1)})
-    rest = E({(I1r, J1r): F(1)})
-    t1 = sc.vee(u, _bracket_peeling(rest, E({(I2, J2): F(1)}), pick))
+    u = E.monomial(uI, uJ)
+    rest = E.monomial(I1r, J1r)
+    t1 = sc.vee(u, _bracket_peeling(rest, E.monomial(I2, J2), pick))
     t2 = sc.vee(rest, _peel(uI, uJ, I2, J2, pick))
     if (d1 - 1) % 2:
         t2 = -t2
@@ -324,6 +325,7 @@ def _sl2_act_substitution(op, c, ctx):
     X, n = ctx.sl2[op], ctx.n
     out = sc.BigradedElement()
     for (I, J), coef in c.terms.items():
+        I, J = sc._indices(I), sc._indices(J)
         images = [((I[:t] + (a,) + I[t + 1:], J), -X[i, a])
                   for t, i in enumerate(I) for a in range(n)]
         images += [((I, J[:t] + (b,) + J[t + 1:]), X[b, j])

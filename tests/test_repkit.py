@@ -589,6 +589,29 @@ def test_glk_module_with_two_digit_indices_checked_against_relations():
         GModule("GLk", 1, trace)
 
 
+def test_glk_names_stay_distinct_from_k_11():
+    # GL(11) on K by the trace; without a separator E_{1,11} and E_{11,1}
+    # would both be "E_111"
+    _, names, _ = _relations("GLk", 11)
+    assert len(set(names)) == len(names) == 121
+    assert {"E_1_11", "E_11_1", "E_11_11"} <= set(names)
+    trace = {name: Matrix.from_rows([[1 if p == q else 0]])
+             for name, (p, q) in zip(names, [(p, q) for p in range(11)
+                                             for q in range(11)])}
+    GModule("GLk", 1, trace)
+
+
+def test_module_operators_must_be_dim_by_dim():
+    action = builtin_labeling("SL2").models[IrrepId("SL2", 1)].action
+    GModule("SL2", 2, action)
+    with pytest.raises(ValueError, match="SL2 operator E is not 7 x 7"):
+        GModule("SL2", 7, action)
+    # one operator of another shape is named before any product is formed
+    mixed = dict(action, H=Matrix.zeros(3, 3))
+    with pytest.raises(ValueError, match="SL2 operator H is not 2 x 2"):
+        GModule("SL2", 2, mixed)
+
+
 def test_glk_relation_table_matches_the_commutators():
     for k in (2, 3, 4):
         finite, names, relations = _relations("GLk", k)
